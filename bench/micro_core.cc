@@ -38,7 +38,6 @@
 #include "fusion/truth_finder.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/intersect.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/overlap.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
-#include "simjoin/prefix_join.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "topk/nra.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 
 namespace copydetect {
@@ -222,15 +221,6 @@ void BM_SortedIntersect(benchmark::State& state) {
 BENCHMARK(BM_SortedIntersect)
     ->ArgsProduct({{1 << 6, 1 << 10, 1 << 14}, {1, 8, 256}});
 
-void BM_PrefixJoin(benchmark::State& state) {
-  WorldInputs inputs(128, 2000);
-  for (auto _ : state) {
-    auto pairs = PrefixFilterJoin(inputs.world.data, 16);
-    benchmark::DoNotOptimize(pairs);
-  }
-}
-BENCHMARK(BM_PrefixJoin)->Unit(benchmark::kMillisecond);
-
 void BM_PairMerge(benchmark::State& state) {
   WorldInputs inputs(64, 4000);
   DetectionParams params = Params();
@@ -369,9 +359,9 @@ void BM_SessionRunBookFull(benchmark::State& state) {
 /// delta (one source's first ten items re-pushed) against a live
 /// book-full session, steady state. BM_SessionRun is the cold
 /// full-run twin; the perf-gate CI compares both against the
-/// committed baseline so a regression in either the update machinery
-/// (apply, overlap patching, index rebase, pair splicing) or the
-/// plain pipeline fails the PR.
+/// committed baseline so a regression in either the update path
+/// (apply, overlap patching, cold re-run) or the plain pipeline
+/// fails the change.
 void BM_SessionUpdateBookFull(benchmark::State& state) {
   const World& world = BookFullWorld().world;
   const Dataset& data = world.data;

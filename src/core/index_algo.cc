@@ -100,25 +100,10 @@ Status IndexScan(const DetectionInput& in, const DetectionParams& params,
   CD_RETURN_IF_ERROR(in.Validate());
   out->Clear();
 
-  // Online updates: when the previous run's index for this round is
-  // available, rebase it (rescore only the delta's touched postings)
-  // instead of building from scratch. Rebase is bit-identical to
-  // Build — it verifies its own preconditions and falls back.
-  const bool can_rebase =
-      ordering == EntryOrdering::kByContribution && in.hints != nullptr &&
-      in.hints->prev_index != nullptr &&
-      in.hints->prev_index_accuracies != nullptr &&
-      in.hints->summary != nullptr;
-  auto index_or =
-      can_rebase
-          ? InvertedIndex::Rebase(*in.hints->prev_index,
-                                  *in.hints->prev_index_accuracies, in,
-                                  params, *in.hints->summary)
-          : InvertedIndex::Build(in, params, ordering, seed);
+  auto index_or = InvertedIndex::Build(in, params, ordering, seed);
   if (!index_or.ok()) return index_or.status();
   const InvertedIndex& index = *index_or;
   if (index_seconds != nullptr) *index_seconds = index.build_seconds();
-  if (in.index_sink != nullptr) *in.index_sink = index;
   const std::vector<double>& accs = *in.accuracies;
 
   RunShardedScan(executor, counters, out,

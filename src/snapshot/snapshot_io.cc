@@ -847,87 +847,6 @@ Status ReadFusion(Reader* r, const Dataset& data, FusionResult* out,
   return Status::OK();
 }
 
-void WriteTape(const SessionState& state, Writer* w) {
-  w->U64(state.tape_generation);
-  w->U8(state.tape_has_copies ? 1 : 0);
-  w->U64(state.tape.size());
-  for (const TapeRound& round : state.tape) {
-    w->Vec(round.pre_probs);
-    w->Vec(round.pre_accs);
-    WriteCopies(round.copies, w);
-    w->U8(round.has_index ? 1 : 0);
-    if (round.has_index) {
-      w->U64(round.index_entries.size());
-      for (const IndexEntry& e : round.index_entries) {
-        w->U32(e.slot);
-        w->F64(e.probability);
-        w->F64(e.score);
-      }
-      w->U64(round.index_tail_begin);
-      w->U8(static_cast<uint8_t>(round.index_ordering));
-    }
-  }
-}
-
-Status ReadTape(Reader* r, const Dataset& data, SessionState* out) {
-  auto truncated = [] {
-    return Status::InvalidArgument("snapshot: TAPE section truncated");
-  };
-  out->tape_generation = r->U64();
-  out->tape_has_copies = r->U8() != 0;
-  const uint64_t rounds = r->U64();
-  // Hostile-count guard sized to a round's minimum wire footprint
-  // (two empty vectors + an empty copy map + the index flag, > 33
-  // bytes), so the reserve below cannot amplify a small crafted file
-  // into a huge allocation.
-  if (!r->ok() || rounds > r->remaining() / 33) return truncated();
-  out->tape.reserve(static_cast<size_t>(rounds));
-  for (uint64_t i = 0; i < rounds; ++i) {
-    TapeRound round;
-    round.pre_probs = r->Vec<double>();
-    round.pre_accs = r->Vec<double>();
-    CD_RETURN_IF_ERROR(
-        ReadCopies(r, data.num_sources(), "TAPE", &round.copies));
-    round.has_index = r->U8() != 0;
-    if (round.has_index) {
-      const uint64_t entries = r->U64();
-      if (!r->ok() || entries > r->remaining() / 20) return truncated();
-      round.index_entries.resize(static_cast<size_t>(entries));
-      for (IndexEntry& e : round.index_entries) {
-        e.slot = r->U32();
-        e.probability = r->F64();
-        e.score = r->F64();
-      }
-      round.index_tail_begin = r->U64();
-      const uint8_t ordering = r->U8();
-      if (ordering > static_cast<uint8_t>(EntryOrdering::kRandom)) {
-        return Status::InvalidArgument(StrFormat(
-            "snapshot: TAPE round %llu has unknown index ordering %u",
-            static_cast<unsigned long long>(i), ordering));
-      }
-      round.index_ordering = static_cast<EntryOrdering>(ordering);
-    }
-    if (!r->ok()) return truncated();
-    // Dimensional validation; per-entry slot checks (range, >= 2
-    // providers, uniqueness) happen in InvertedIndex::FromParts when
-    // the index is reassembled against the loaded Dataset.
-    if (!round.pre_probs.empty() &&
-        round.pre_probs.size() != data.num_slots()) {
-      return Status::InvalidArgument(
-          "snapshot: TAPE round value probabilities disagree with the "
-          "data set's slot count");
-    }
-    if (round.pre_accs.size() != data.num_sources()) {
-      return Status::InvalidArgument(
-          "snapshot: TAPE round accuracies disagree with the data "
-          "set's source count");
-    }
-    out->tape.push_back(std::move(round));
-  }
-  out->has_tape = true;
-  return Status::OK();
-}
-
 }  // namespace
 
 OptionField OptionField::Bool(std::string name, bool v) {
@@ -1158,11 +1077,6 @@ Status Write(const std::string& path, const SessionState& state) {
     WriteFusion(state.fusion, &w);
     sections.emplace_back(SectionId::kFusion, std::move(w));
   }
-  if (state.has_tape) {
-    Writer w;
-    WriteTape(state, &w);
-    sections.emplace_back(SectionId::kTape, std::move(w));
-  }
 
   return WriteFileAtomic(path, FrameSections(state.generation, sections));
 }
@@ -1211,10 +1125,11 @@ StatusOr<SessionState> Read(const std::string& path) {
   bool saw_options = false;
   bool saw_dataset = false;
   bool saw_fusion = false;
+  bool saw_tape = false;
   for (const TableEntry& e : framing.entries) {
     // A repeated id is never legitimate: a second DATASET would
-    // replace the data set earlier sections were validated against,
-    // a second TAPE would concatenate rounds — fail closed instead.
+    // replace the data set earlier sections were validated against —
+    // fail closed instead.
     const bool duplicate =
         (e.id == static_cast<uint32_t>(SectionId::kOptions) &&
          saw_options) ||
@@ -1224,8 +1139,7 @@ StatusOr<SessionState> Read(const std::string& path) {
          state.has_overlaps) ||
         (e.id == static_cast<uint32_t>(SectionId::kFusion) &&
          saw_fusion) ||
-        (e.id == static_cast<uint32_t>(SectionId::kTape) &&
-         state.has_tape);
+        (e.id == static_cast<uint32_t>(SectionId::kTape) && saw_tape);
     if (duplicate) {
       return Status::InvalidArgument(StrFormat(
           "snapshot: %s: duplicate section id %u", path.c_str(),
@@ -1260,11 +1174,9 @@ StatusOr<SessionState> Read(const std::string& path) {
         saw_fusion = true;
         break;
       case SectionId::kTape:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": TAPE section before DATASET");
-        }
-        CD_RETURN_IF_ERROR(ReadTape(&r, state.data, &state));
+        // Legacy update tape (older libraries wrote one; nothing reads
+        // it any more). Its checksum was verified above; skip it.
+        saw_tape = true;
         break;
       default:
         // Session snapshots define exactly the sections above (SHARD
@@ -1296,16 +1208,6 @@ StatusOr<SessionState> Read(const std::string& path) {
         static_cast<unsigned long long>(state.overlaps_generation),
         static_cast<unsigned long long>(framing.generation)));
   }
-  if (state.has_tape && state.tape_generation != framing.generation) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: generation mismatch — the update TAPE was "
-        "recorded for generation %llu but the file's snapshot is "
-        "generation %llu; refusing to warm-start derived state "
-        "against a different data set",
-        path.c_str(),
-        static_cast<unsigned long long>(state.tape_generation),
-        static_cast<unsigned long long>(framing.generation)));
-  }
   return state;
 }
 
@@ -1333,6 +1235,7 @@ StatusOr<SessionState> ReadMapped(const std::string& path) {
   bool saw_options = false;
   bool saw_dataset = false;
   bool saw_fusion = false;
+  bool saw_tape = false;
   for (uint32_t id : map->SectionIds()) {
     const bool duplicate =
         (id == static_cast<uint32_t>(SectionId::kOptions) &&
@@ -1343,8 +1246,7 @@ StatusOr<SessionState> ReadMapped(const std::string& path) {
          state.has_overlaps) ||
         (id == static_cast<uint32_t>(SectionId::kFusion) &&
          saw_fusion) ||
-        (id == static_cast<uint32_t>(SectionId::kTape) &&
-         state.has_tape);
+        (id == static_cast<uint32_t>(SectionId::kTape) && saw_tape);
     if (duplicate) {
       return Status::InvalidArgument(StrFormat(
           "snapshot: %s: duplicate section id %u", path.c_str(), id));
@@ -1380,11 +1282,9 @@ StatusOr<SessionState> ReadMapped(const std::string& path) {
         saw_fusion = true;
         break;
       case SectionId::kTape:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": TAPE section before DATASET");
-        }
-        CD_RETURN_IF_ERROR(ReadTape(&r, state.data, &state));
+        // Legacy update tape (older libraries wrote one; nothing reads
+        // it any more). Its checksum was verified above; skip it.
+        saw_tape = true;
         break;
       default:
         return Status::InvalidArgument(StrFormat(
@@ -1406,16 +1306,6 @@ StatusOr<SessionState> ReadMapped(const std::string& path) {
         "different data set",
         path.c_str(),
         static_cast<unsigned long long>(state.overlaps_generation),
-        static_cast<unsigned long long>(map->generation())));
-  }
-  if (state.has_tape && state.tape_generation != map->generation()) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: generation mismatch — the update TAPE was "
-        "recorded for generation %llu but the file's snapshot is "
-        "generation %llu; refusing to warm-start derived state "
-        "against a different data set",
-        path.c_str(),
-        static_cast<unsigned long long>(state.tape_generation),
         static_cast<unsigned long long>(map->generation())));
   }
   return state;

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "model/dataset_delta.h"
-#include "simjoin/prefix_join.h"
 #include "test_util.h"
 
 namespace copydetect {
@@ -42,8 +41,9 @@ TEST(OverlapCounts, DenseAndSparseAgree) {
 TEST(OverlapCounts, MatchesBruteForceJoin) {
   testutil::World world = testutil::SmallWorld(56, 25, 150);
   OverlapCounts counts = ComputeOverlaps(world.data);
-  std::vector<OverlapPair> brute = BruteForceJoin(world.data, 1);
-  for (const OverlapPair& p : brute) {
+  std::vector<testutil::OverlapPair> brute =
+      testutil::BruteForceJoin(world.data, 1);
+  for (const testutil::OverlapPair& p : brute) {
     EXPECT_EQ(counts.Get(p.a, p.b), p.overlap);
   }
   EXPECT_EQ(counts.NumPositivePairs(), brute.size());

@@ -2,8 +2,8 @@
 // the accuracy-only baseline), at 1 and 4 threads,
 // Session::Update(delta) must produce a report bit-identical to
 // rebuilding the merged data set from scratch and Run()ning it on a
-// fresh session — the reuse machinery (maintained overlaps, index
-// rebase, pair splicing) may only skip provably unchanged work.
+// fresh session — patching the maintained overlaps may only skip
+// provably unchanged work.
 #include "copydetect/session.h"
 
 #include <gtest/gtest.h>
@@ -77,7 +77,7 @@ void ExpectUpdateEquivalence(const Dataset& base,
   auto first = session->Run(base);
   CD_CHECK_OK(first.status());
   // The initial online run must already match a cold run bit for bit
-  // (recording and overlap publication must not perturb anything).
+  // (overlap publication must not perturb anything).
   ExpectSameFusion(first->fusion, RunColdSession(base, options).fusion);
 
   int step = 0;
@@ -149,8 +149,7 @@ TEST(SessionUpdateEquivalence, AccuracyOnlyBaseline) {
 
 /// A generated world (planted copiers, realistic shape) with a
 /// feed-push delta: the acceptance anchor beyond the toy example, on
-/// the detectors with dedicated reuse paths plus the paper's own
-/// incremental algorithm.
+/// the paper's quality detectors plus its own incremental algorithm.
 TEST(SessionUpdateEquivalence, GeneratedWorldKeyDetectors) {
   auto world = MakeWorldByName("book-cs", 0.1, 11);
   CD_CHECK_OK(world.status());
@@ -201,10 +200,8 @@ TEST(SessionUpdate, PairwiseSplicesUnchangedPairs) {
   const UpdateStats& stats = session->last_update_stats();
   EXPECT_TRUE(stats.incremental);
   // Pairwise sessions do not maintain overlap counts (the detector
-  // never reads them)...
+  // never reads them).
   EXPECT_FALSE(stats.overlaps_maintained);
-  // ...but round 1 must have spliced the pairs of untouched sources.
-  EXPECT_GT(stats.reused_pairs, 0u);
   EXPECT_EQ(stats.touched_sources, 1u);
   EXPECT_EQ(stats.touched_items, 1u);
   EXPECT_EQ(stats.overwritten_observations, 1u);
@@ -284,8 +281,8 @@ TEST(SessionUpdate, SampledSessionUpdatesCorrectly) {
   SessionOptions options = ExampleOptions("hybrid", 1);
   options.n = world->suggested_n;
   options.sample_rate = 0.6;
-  // Sampling disables the recorder (the sample re-derives from the
-  // snapshot), but Update must still work and match the cold path —
+  // Sampling disables overlap maintenance (the sample re-derives from
+  // the snapshot), but Update must still work and match the cold path —
   // the sample is a deterministic function of the data.
   std::vector<DatasetDelta> deltas;
   {

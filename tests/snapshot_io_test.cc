@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/flat_hash.h"
-#include "core/inverted_index.h"
 #include "model/dataset.h"
 #include "simjoin/overlap.h"
 
@@ -28,7 +27,6 @@ namespace {
 
 using snapshot::OptionField;
 using snapshot::SessionState;
-using snapshot::TapeRound;
 
 std::string TempPath(const std::string& name) {
   // ctest runs each TEST of this binary as its own process, in
@@ -74,8 +72,7 @@ Dataset SmallData() {
 }
 
 /// Fills every section of a SessionState: options, dataset, overlaps,
-/// a fusion result with copies + trace, and a two-round tape whose
-/// second round carries an inverted index.
+/// and a fusion result with copies + trace.
 SessionState FullState() {
   SessionState state;
   state.data = SmallData();
@@ -115,30 +112,6 @@ SessionState FullState() {
   fusion.trace.push_back(trace);
   fusion.total_seconds = 1.5;
 
-  state.has_tape = true;
-  state.tape_generation = state.generation;
-  state.tape_has_copies = true;
-  for (int round = 0; round < 2; ++round) {
-    TapeRound tape_round;
-    tape_round.pre_probs = fusion.value_probs;
-    tape_round.pre_accs = fusion.accuracies;
-    tape_round.copies = fusion.copies;
-    if (round == 1) {
-      DetectionInput in;
-      in.data = &state.data;
-      in.value_probs = &fusion.value_probs;
-      in.accuracies = &fusion.accuracies;
-      auto index = InvertedIndex::Build(in, DetectionParams());
-      CD_CHECK_OK(index.status());
-      tape_round.has_index = true;
-      for (size_t i = 0; i < index->num_entries(); ++i) {
-        tape_round.index_entries.push_back(index->entry(i));
-      }
-      tape_round.index_tail_begin = index->tail_begin();
-      tape_round.index_ordering = index->ordering();
-    }
-    state.tape.push_back(std::move(tape_round));
-  }
   return state;
 }
 
@@ -223,30 +196,6 @@ TEST(SnapshotIo, RoundTripsEverySection) {
             state.fusion.trace[0].computations);
   EXPECT_EQ(loaded->fusion.total_seconds, state.fusion.total_seconds);
 
-  ASSERT_TRUE(loaded->has_tape);
-  EXPECT_TRUE(loaded->tape_has_copies);
-  ASSERT_EQ(loaded->tape.size(), state.tape.size());
-  for (size_t r = 0; r < state.tape.size(); ++r) {
-    EXPECT_EQ(loaded->tape[r].pre_probs, state.tape[r].pre_probs);
-    EXPECT_EQ(loaded->tape[r].pre_accs, state.tape[r].pre_accs);
-    EXPECT_EQ(loaded->tape[r].copies.raw_map().raw_keys(),
-              state.tape[r].copies.raw_map().raw_keys());
-    ASSERT_EQ(loaded->tape[r].has_index, state.tape[r].has_index);
-    ASSERT_EQ(loaded->tape[r].index_entries.size(),
-              state.tape[r].index_entries.size());
-    for (size_t i = 0; i < state.tape[r].index_entries.size(); ++i) {
-      EXPECT_EQ(loaded->tape[r].index_entries[i].slot,
-                state.tape[r].index_entries[i].slot);
-      EXPECT_EQ(loaded->tape[r].index_entries[i].probability,
-                state.tape[r].index_entries[i].probability);
-      EXPECT_EQ(loaded->tape[r].index_entries[i].score,
-                state.tape[r].index_entries[i].score);
-    }
-    EXPECT_EQ(loaded->tape[r].index_tail_begin,
-              state.tape[r].index_tail_begin);
-    EXPECT_EQ(loaded->tape[r].index_ordering,
-              state.tape[r].index_ordering);
-  }
   std::remove(path.c_str());
 }
 
@@ -262,7 +211,6 @@ TEST(SnapshotIo, RoundTripsMinimalState) {
   auto loaded = snapshot::Read(path);
   CD_CHECK_OK(loaded.status());
   EXPECT_FALSE(loaded->has_overlaps);
-  EXPECT_FALSE(loaded->has_tape);
   ExpectSameDataset(loaded->data, state.data);
   std::remove(path.c_str());
 }
@@ -455,50 +403,18 @@ TEST(SnapshotIoCorruption, DuplicateSectionIdIsRefused) {
   std::vector<uint8_t> bytes = GoodFileBytes();
   const size_t header_size = 32;
   const uint32_t sections = bytes[24];
-  ASSERT_EQ(sections, 5u);  // OPTIONS, DATASET, OVERLAPS, FUSION, TAPE
+  ASSERT_EQ(sections, 4u);  // OPTIONS, DATASET, OVERLAPS, FUSION
   const size_t table_end = header_size + sections * 32;
-  // Relabel the TAPE entry as a second FUSION and re-seal the table:
-  // the checksums all pass, so only the duplicate check can refuse a
-  // section that would silently overwrite already-validated state.
-  bytes[header_size + 4 * 32] = 4;
+  // Relabel the FUSION entry as a second OVERLAPS and re-seal the
+  // table: the checksums all pass, so only the duplicate check can
+  // refuse a section that would silently overwrite validated state.
+  bytes[header_size + 3 * 32] = 3;
   uint64_t resealed = SpecHash64(bytes.data(), table_end);
   std::memcpy(bytes.data() + table_end, &resealed, 8);
   auto loaded = ReadBytes(bytes, "dup_section.cdsnap");
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("duplicate section id 4"),
+  EXPECT_NE(loaded.status().message().find("duplicate section id 3"),
             std::string::npos)
-      << loaded.status().message();
-}
-
-TEST(SnapshotIoCorruption, HostileTapeRoundCountIsRefusedCheaply) {
-  // A small file declaring an enormous TAPE round count must be
-  // refused by the count guard, not by an attempted huge allocation.
-  const std::string path = TempPath("tape_count.cdsnap");
-  SessionState state = FullState();
-  CD_CHECK_OK(snapshot::Write(path, state));
-  std::vector<uint8_t> bytes = ReadFileBytes(path);
-  std::remove(path.c_str());
-  const size_t header_size = 32;
-  const uint32_t sections = bytes[24];
-  const size_t table_end = header_size + sections * 32;
-  // The TAPE payload (entry 4) starts with u64 generation, u8
-  // has_copies, then the u64 round count — overwrite it with a count
-  // the section cannot possibly hold and re-seal the section.
-  uint64_t tape_offset = 0;
-  uint64_t tape_size = 0;
-  std::memcpy(&tape_offset, bytes.data() + header_size + 4 * 32 + 8, 8);
-  std::memcpy(&tape_size, bytes.data() + header_size + 4 * 32 + 16, 8);
-  const uint64_t huge = 1ULL << 40;
-  std::memcpy(bytes.data() + tape_offset + 9, &huge, 8);
-  uint64_t section_sum =
-      SpecHash64(bytes.data() + tape_offset, tape_size);
-  std::memcpy(bytes.data() + header_size + 4 * 32 + 24, &section_sum,
-              8);
-  uint64_t resealed = SpecHash64(bytes.data(), table_end);
-  std::memcpy(bytes.data() + table_end, &resealed, 8);
-  auto loaded = ReadBytes(bytes, "tape_count_mod.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("TAPE"), std::string::npos)
       << loaded.status().message();
 }
 
@@ -506,19 +422,6 @@ TEST(SnapshotIoCorruption, OverlapsGenerationMismatchIsRefused) {
   const std::string path = TempPath("gen_overlaps.cdsnap");
   SessionState state = FullState();
   state.overlaps_generation = state.generation + 1;
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("generation mismatch"),
-            std::string::npos)
-      << loaded.status().message();
-}
-
-TEST(SnapshotIoCorruption, TapeGenerationMismatchIsRefused) {
-  const std::string path = TempPath("gen_tape.cdsnap");
-  SessionState state = FullState();
-  state.tape_generation = state.generation + 7;
   CD_CHECK_OK(snapshot::Write(path, state));
   auto loaded = snapshot::Read(path);
   std::remove(path.c_str());
@@ -560,18 +463,6 @@ TEST(SnapshotIoCorruption, FusionDimensionMismatchIsRefused) {
   std::remove(path.c_str());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("FUSION"), std::string::npos)
-      << loaded.status().message();
-}
-
-TEST(SnapshotIoCorruption, TapeDimensionMismatchIsRefused) {
-  const std::string path = TempPath("tape_dims.cdsnap");
-  SessionState state = FullState();
-  state.tape[0].pre_accs.pop_back();  // one source short
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("TAPE"), std::string::npos)
       << loaded.status().message();
 }
 
@@ -639,12 +530,6 @@ void ExpectSameState(const SessionState& got, const SessionState& want) {
   EXPECT_EQ(got.fusion.converged, want.fusion.converged);
   EXPECT_EQ(got.fusion.copies.raw_map().raw_keys(),
             want.fusion.copies.raw_map().raw_keys());
-  ASSERT_EQ(got.has_tape, want.has_tape);
-  ASSERT_EQ(got.tape.size(), want.tape.size());
-  for (size_t r = 0; r < want.tape.size(); ++r) {
-    EXPECT_EQ(got.tape[r].pre_probs, want.tape[r].pre_probs);
-    EXPECT_EQ(got.tape[r].pre_accs, want.tape[r].pre_accs);
-  }
 }
 
 TEST(SnapshotIoMapped, MappedStateMatchesOwnedRead) {
@@ -750,6 +635,101 @@ TEST(SnapshotIoMapped, Version1GoldenFallsBackToOwnedRead) {
   auto mapped = snapshot::ReadMapped(path);
   CD_CHECK_OK(mapped.status());
   ExpectSameState(*mapped, *owned);
+}
+
+// --- Legacy TAPE sections: files written before the update tape was
+// dropped must still load, with the section checksummed and skipped. ---
+
+/// Forges the file older libraries wrote: `bytes` (a version-2 file)
+/// plus a trailing TAPE section (id 5) holding `payload`, framed per
+/// docs/FORMATS.md — the table grows by one entry, every payload
+/// shifts by it, and the new section starts 8-byte aligned.
+std::vector<uint8_t> WithLegacyTape(const std::vector<uint8_t>& bytes,
+                                    const std::vector<uint8_t>& payload) {
+  const size_t header_size = 32;
+  uint32_t sections = 0;
+  std::memcpy(&sections, bytes.data() + 24, 4);
+  const size_t old_payloads = header_size + sections * 32 + 8;
+  const size_t new_payloads = old_payloads + 32;
+  std::vector<uint8_t> out(bytes.begin(),
+                           bytes.begin() + header_size + sections * 32);
+  const uint32_t grown = sections + 1;
+  std::memcpy(out.data() + 24, &grown, 4);
+  for (uint32_t i = 0; i < sections; ++i) {
+    uint64_t offset = 0;
+    std::memcpy(&offset, out.data() + header_size + i * 32 + 8, 8);
+    offset += 32;
+    std::memcpy(out.data() + header_size + i * 32 + 8, &offset, 8);
+  }
+  const uint64_t tape_offset =
+      (bytes.size() - old_payloads + new_payloads + 7) & ~uint64_t{7};
+  const uint64_t tape_size = payload.size();
+  const uint64_t tape_sum = SpecHash64(payload.data(), payload.size());
+  const uint32_t tape_id = 5;
+  const uint32_t reserved = 0;
+  out.resize(out.size() + 32);
+  uint8_t* entry = out.data() + header_size + sections * 32;
+  std::memcpy(entry, &tape_id, 4);
+  std::memcpy(entry + 4, &reserved, 4);
+  std::memcpy(entry + 8, &tape_offset, 8);
+  std::memcpy(entry + 16, &tape_size, 8);
+  std::memcpy(entry + 24, &tape_sum, 8);
+  const uint64_t meta = SpecHash64(out.data(), out.size());
+  out.resize(out.size() + 8);
+  std::memcpy(out.data() + out.size() - 8, &meta, 8);
+  out.insert(out.end(), bytes.begin() + old_payloads, bytes.end());
+  out.resize(tape_offset, 0);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+/// A TAPE payload in the legacy layout (u64 generation, u8 has_copies,
+/// u64 round count) declaring far more rounds than it holds — readers
+/// that skip the section never look at it.
+std::vector<uint8_t> LegacyTapePayload() {
+  std::vector<uint8_t> payload(17, 0);
+  const uint64_t rounds = 1ULL << 40;
+  std::memcpy(payload.data() + 9, &rounds, 8);
+  return payload;
+}
+
+TEST(SnapshotIoLegacyTape, ReadersVerifyAndSkipTheSection) {
+  std::vector<uint8_t> bytes =
+      WithLegacyTape(GoodFileBytes(), LegacyTapePayload());
+  auto owned = ReadBytes(bytes, "legacy_tape.cdsnap");
+  CD_CHECK_OK(owned.status());
+  auto mapped = ReadBytesMapped(bytes, "legacy_tape_mapped.cdsnap");
+  CD_CHECK_OK(mapped.status());
+  auto plain = ReadBytes(GoodFileBytes(), "legacy_plain.cdsnap");
+  CD_CHECK_OK(plain.status());
+  ExpectSameState(*owned, *plain);
+  ExpectSameState(*mapped, *plain);
+}
+
+TEST(SnapshotIoLegacyTape, PayloadFlipFailsTheSectionChecksum) {
+  std::vector<uint8_t> bytes =
+      WithLegacyTape(GoodFileBytes(), LegacyTapePayload());
+  bytes.back() ^= 0x40;  // inside the TAPE payload
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mapped" : "owned");
+    auto loaded = mapped ? ReadBytesMapped(bytes, "legacy_flip_m.cdsnap")
+                         : ReadBytes(bytes, "legacy_flip.cdsnap");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+TEST(SnapshotIoLegacyTape, DuplicateTapeIsRefused) {
+  const std::vector<uint8_t> once =
+      WithLegacyTape(GoodFileBytes(), LegacyTapePayload());
+  auto loaded = ReadBytes(WithLegacyTape(once, LegacyTapePayload()),
+                          "legacy_dup.cdsnap");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("duplicate section id 5"),
+            std::string::npos)
+      << loaded.status().message();
 }
 
 // --- Shard/BSP files: single-section .cdsnap framing around

@@ -2,7 +2,9 @@
 #define COPYDETECT_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/detector.h"
@@ -109,6 +111,35 @@ inline WorldInput::WorldInput(const World& world) {
     }
   }
   accs = world.true_accuracy;
+}
+
+/// One source pair and its exact item overlap.
+struct OverlapPair {
+  SourceId a = kInvalidSource;
+  SourceId b = kInvalidSource;
+  uint32_t overlap = 0;
+};
+
+/// Reference O(n^2) overlap join: every source pair sharing at least
+/// `min_overlap` items, ascending by (a, b). Counts with
+/// std::set_intersection, independent of the simjoin kernels it checks.
+inline std::vector<OverlapPair> BruteForceJoin(const Dataset& data,
+                                               uint32_t min_overlap) {
+  std::vector<OverlapPair> out;
+  std::vector<ItemId> shared;
+  const size_t n = data.num_sources();
+  for (SourceId a = 0; a + 1 < n; ++a) {
+    for (SourceId b = static_cast<SourceId>(a + 1); b < n; ++b) {
+      std::span<const ItemId> ia = data.items_of(a);
+      std::span<const ItemId> ib = data.items_of(b);
+      shared.clear();
+      std::set_intersection(ia.begin(), ia.end(), ib.begin(), ib.end(),
+                            std::back_inserter(shared));
+      const auto ov = static_cast<uint32_t>(shared.size());
+      if (ov >= min_overlap) out.push_back(OverlapPair{a, b, ov});
+    }
+  }
+  return out;
 }
 
 /// Sorted copying-pair keys of a result (for set comparison).

@@ -186,10 +186,9 @@ TEST(UpdateProperty, LongRandomStreamEveryRegisteredDetector) {
       MakeStream(world.data, kSteps, kStreamSeed);
   ASSERT_GE(deltas.size(), 150u);  // few steps collapse to empty
   for (const std::string& name : ListDetectors()) {
-    // The paper's quality detectors carry the dedicated reuse paths
-    // (pair splicing, overlap maintenance, index rebase) — they get
-    // the every-step comparison; the rest are checked at every 10th
-    // accumulated state plus the final one.
+    // The paper's quality detectors get the every-step comparison;
+    // the rest are checked at every 10th accumulated state plus the
+    // final one.
     const bool hot = name == "pairwise" || name == "index" ||
                      name == "hybrid" || name == "incremental";
     ReplayStream(world.data, deltas, name, hot ? 1 : 10);
