@@ -71,7 +71,12 @@ TEST(BoundPlus, SavesBoundComputations) {
 struct BoundCase {
   uint64_t seed;
   bool lazy;
+  // GoogleTest prints this struct byte by byte as the case name, and ctest
+  // registers that name. Spelled-out zero padding keeps the name the same
+  // on every run instead of leaking whatever was on the stack.
+  uint8_t padding[7] = {};
 };
+static_assert(sizeof(BoundCase) == 16, "BoundCase must have no hidden padding");
 
 class BoundQualityTest : public ::testing::TestWithParam<BoundCase> {};
 
