@@ -396,6 +396,32 @@ void BM_SessionUpdateBookFull(benchmark::State& state) {
   }
 }
 
+/// The render anchor: Report::ToJson of the finished book-full report
+/// (the BM_SessionRun configuration) — the bytes the serving daemon
+/// publishes after every applied update and serves on `query`.
+void BM_ReportToJsonBookFull(benchmark::State& state) {
+  const World& world = BookFullWorld().world;
+  auto session = Session::Create(BookFullSessionOptions());
+  if (!session.ok()) {
+    state.SkipWithError(session.status().message().c_str());
+    return;
+  }
+  auto report = session->Run(world.data);
+  if (!report.ok()) {
+    state.SkipWithError(report.status().message().c_str());
+    return;
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string json = report->ToJson(world.data);
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes) *
+                          static_cast<int64_t>(state.iterations()));
+}
+
 /// The warm-start anchor: Session::Load of the snapshot a finished
 /// book-full session Save()d — everything a restarted serving process
 /// pays instead of the cold BM_SessionRun (CSV/world setup excluded
@@ -646,6 +672,8 @@ constexpr std::string_view kSessionLoadMappedName =
     "BM_SessionLoad/mapped/book-full";
 constexpr std::string_view kShardedDetectPrefix =
     "BM_ShardedDetect/book-cs";
+constexpr std::string_view kReportToJsonName =
+    "BM_ReportToJson/book-full";
 
 void RegisterDetectorBenchmarks(size_t multi_threads) {
   // Every registered detector, straight from the registry — a
@@ -675,6 +703,9 @@ void RegisterDetectorBenchmarks(size_t multi_threads) {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark(std::string(kSessionLoadName).c_str(),
                                BM_SessionLoadBookFull)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark(std::string(kReportToJsonName).c_str(),
+                               BM_ReportToJsonBookFull)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark(
       std::string(kSessionLoadMappedName).c_str(),
@@ -774,9 +805,11 @@ class CollectingReporter : public benchmark::BenchmarkReporter {
                  StartsWith(base_name, kFusionRunName) ||
                  StartsWith(base_name, kSessionUpdateName) ||
                  StartsWith(base_name, kSessionLoadName) ||
-                 StartsWith(base_name, kSessionLoadMappedName)) {
+                 StartsWith(base_name, kSessionLoadMappedName) ||
+                 StartsWith(base_name, kReportToJsonName)) {
         // Facade-overhead pair + online-update + warm-start anchors
-        // (owned and mapped): full serial runs, same configuration.
+        // (owned and mapped) + the render of the run's report: full
+        // serial runs, same configuration.
         record.detector = "index";
         record.dataset = "book-full";
         record.scale = kBookFullScale;

@@ -1,7 +1,9 @@
 #include "copydetect/session.h"
 
 #include <algorithm>
+#include <charconv>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/executor.h"
@@ -477,46 +479,27 @@ Status OptionsFromFields(const std::vector<snapshot::OptionField>& fields,
   return Status::OK();
 }
 
+/// Appends the decimal spelling of an integer (what JsonValue::Int64
+/// and JsonValue::Uint64 render).
+template <typename Int>
+void AppendInt(Int v, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 }  // namespace
 
 std::string Report::ToJson(const Dataset& data) const {
-  JsonValue root = JsonValue::Object();
-  root.Set("detector", JsonValue::Str(detector));
-  root.Set("threads", JsonValue::Uint64(threads));
-  root.Set("rounds", JsonValue::Int64(fusion.rounds));
-  root.Set("converged", JsonValue::Bool(fusion.converged));
-  root.Set("num_sources", JsonValue::Uint64(data.num_sources()));
-  root.Set("num_items", JsonValue::Uint64(data.num_items()));
-
-  JsonValue truth_arr = JsonValue::Array();
-  for (size_t item = 0; item < fusion.truth.size(); ++item) {
-    SlotId slot = fusion.truth[item];
-    JsonValue entry = JsonValue::Object();
-    entry.Set("item",
-              JsonValue::Str(data.item_name(static_cast<ItemId>(item))));
-    if (slot == kInvalidSlot) {
-      entry.Set("value", JsonValue::Null());
-      entry.Set("probability", JsonValue::Null());
-    } else {
-      entry.Set("value", JsonValue::Str(data.slot_value(slot)));
-      entry.Set("probability",
-                JsonValue::Double(slot < fusion.value_probs.size()
-                                      ? fusion.value_probs[slot]
-                                      : 0.0));
-    }
-    truth_arr.Append(std::move(entry));
-  }
-  root.Set("truth", std::move(truth_arr));
-
-  JsonValue acc_arr = JsonValue::Array();
-  for (size_t s = 0; s < fusion.accuracies.size(); ++s) {
-    acc_arr.Append(
-        JsonValue::Object()
-            .Set("source",
-                 JsonValue::Str(data.source_name(static_cast<SourceId>(s))))
-            .Set("accuracy", JsonValue::Double(fusion.accuracies[s])));
-  }
-  root.Set("accuracies", std::move(acc_arr));
+  // Rendered straight into one string, keys in a fixed order; the
+  // numbers and strings go through the same writers as JsonValue, so
+  // the bytes match a JsonValue::Dump of the same document.
+  auto key = [](std::string_view k, std::string* out) {
+    AppendJsonString(k, out);
+    *out += ':';
+  };
+  auto source = [&data](SourceId s, std::string* out) {
+    AppendJsonString(data.source_name(s), out);
+  };
 
   // The pair map iterates in table order; sort by (a, b) so the bytes
   // are independent of hash layout.
@@ -534,53 +517,160 @@ std::string Report::ToJson(const Dataset& data) const {
   std::sort(pairs.begin(), pairs.end(), [](const Pair& x, const Pair& y) {
     return x.a != y.a ? x.a < y.a : x.b < y.b;
   });
-  JsonValue copies_arr = JsonValue::Array();
-  for (const Pair& pr : pairs) {
-    copies_arr.Append(
-        JsonValue::Object()
-            .Set("a", JsonValue::Str(data.source_name(pr.a)))
-            .Set("b", JsonValue::Str(data.source_name(pr.b)))
-            .Set("p_indep", JsonValue::Double(pr.p.p_indep))
-            .Set("p_a_copies_b", JsonValue::Double(pr.p.p_first_copies))
-            .Set("p_b_copies_a", JsonValue::Double(pr.p.p_second_copies)));
-  }
-  root.Set("copies", std::move(copies_arr));
 
-  JsonValue clusters_arr = JsonValue::Array();
+  // A size estimate, so the string grows once or not at all.
+  size_t estimate = 256 + fusion.truth.size() * 96 +
+                    fusion.accuracies.size() * 64 + pairs.size() * 160;
   for (const CopyCluster& cluster : graph.clusters) {
-    JsonValue members = JsonValue::Array();
-    for (SourceId m : cluster.members) {
-      members.Append(JsonValue::Str(data.source_name(m)));
+    estimate += 64 + cluster.members.size() * 32 +
+                cluster.edges.size() * 144;
+  }
+  std::string out;
+  out.reserve(estimate);
+
+  out += '{';
+  key("detector", &out);
+  AppendJsonString(detector, &out);
+  out += ',';
+  key("threads", &out);
+  AppendInt(threads, &out);
+  out += ',';
+  key("rounds", &out);
+  AppendInt(fusion.rounds, &out);
+  out += ',';
+  key("converged", &out);
+  out += fusion.converged ? "true" : "false";
+  out += ',';
+  key("num_sources", &out);
+  AppendInt(data.num_sources(), &out);
+  out += ',';
+  key("num_items", &out);
+  AppendInt(data.num_items(), &out);
+
+  out += ',';
+  key("truth", &out);
+  out += '[';
+  for (size_t item = 0; item < fusion.truth.size(); ++item) {
+    const SlotId slot = fusion.truth[item];
+    if (item > 0) out += ',';
+    out += '{';
+    key("item", &out);
+    AppendJsonString(data.item_name(static_cast<ItemId>(item)), &out);
+    out += ',';
+    key("value", &out);
+    if (slot == kInvalidSlot) {
+      out += "null,";
+      key("probability", &out);
+      out += "null";
+    } else {
+      AppendJsonString(data.slot_value(slot), &out);
+      out += ',';
+      key("probability", &out);
+      AppendJsonDouble(slot < fusion.value_probs.size()
+                           ? fusion.value_probs[slot]
+                           : 0.0,
+                       &out);
     }
-    JsonValue edges = JsonValue::Array();
-    for (const ClassifiedEdge& e : cluster.edges) {
+    out += '}';
+  }
+  out += ']';
+
+  out += ',';
+  key("accuracies", &out);
+  out += '[';
+  for (size_t s = 0; s < fusion.accuracies.size(); ++s) {
+    if (s > 0) out += ',';
+    out += '{';
+    key("source", &out);
+    source(static_cast<SourceId>(s), &out);
+    out += ',';
+    key("accuracy", &out);
+    AppendJsonDouble(fusion.accuracies[s], &out);
+    out += '}';
+  }
+  out += ']';
+
+  out += ',';
+  key("copies", &out);
+  out += '[';
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const Pair& pr = pairs[i];
+    if (i > 0) out += ',';
+    out += '{';
+    key("a", &out);
+    source(pr.a, &out);
+    out += ',';
+    key("b", &out);
+    source(pr.b, &out);
+    out += ',';
+    key("p_indep", &out);
+    AppendJsonDouble(pr.p.p_indep, &out);
+    out += ',';
+    key("p_a_copies_b", &out);
+    AppendJsonDouble(pr.p.p_first_copies, &out);
+    out += ',';
+    key("p_b_copies_a", &out);
+    AppendJsonDouble(pr.p.p_second_copies, &out);
+    out += '}';
+  }
+  out += ']';
+
+  out += ',';
+  key("clusters", &out);
+  out += '[';
+  for (size_t c = 0; c < graph.clusters.size(); ++c) {
+    const CopyCluster& cluster = graph.clusters[c];
+    if (c > 0) out += ',';
+    out += '{';
+    key("original", &out);
+    if (cluster.original == kInvalidSource) {
+      out += "null";
+    } else {
+      source(cluster.original, &out);
+    }
+    out += ',';
+    key("members", &out);
+    out += '[';
+    for (size_t m = 0; m < cluster.members.size(); ++m) {
+      if (m > 0) out += ',';
+      source(cluster.members[m], &out);
+    }
+    out += ']';
+    out += ',';
+    key("edges", &out);
+    out += '[';
+    for (size_t i = 0; i < cluster.edges.size(); ++i) {
+      const ClassifiedEdge& e = cluster.edges[i];
       const char* kind = e.kind == EdgeKind::kDirect     ? "direct"
                          : e.kind == EdgeKind::kCoCopy ? "co-copy"
                                                          : "indirect";
-      edges.Append(
-          JsonValue::Object()
-              .Set("a", JsonValue::Str(data.source_name(e.a)))
-              .Set("b", JsonValue::Str(data.source_name(e.b)))
-              .Set("kind", JsonValue::Str(kind))
-              .Set("p_a_copies_b", JsonValue::Double(e.pr_a_copies_b))
-              .Set("p_b_copies_a", JsonValue::Double(e.pr_b_copies_a)));
+      if (i > 0) out += ',';
+      out += '{';
+      key("a", &out);
+      source(e.a, &out);
+      out += ',';
+      key("b", &out);
+      source(e.b, &out);
+      out += ',';
+      key("kind", &out);
+      AppendJsonString(kind, &out);
+      out += ',';
+      key("p_a_copies_b", &out);
+      AppendJsonDouble(e.pr_a_copies_b, &out);
+      out += ',';
+      key("p_b_copies_a", &out);
+      AppendJsonDouble(e.pr_b_copies_a, &out);
+      out += '}';
     }
-    JsonValue cl = JsonValue::Object();
-    cl.Set("original", cluster.original == kInvalidSource
-                           ? JsonValue::Null()
-                           : JsonValue::Str(
-                                 data.source_name(cluster.original)));
-    cl.Set("members", std::move(members));
-    cl.Set("edges", std::move(edges));
-    clusters_arr.Append(std::move(cl));
+    out += "]}";
   }
-  root.Set("clusters", std::move(clusters_arr));
+  out += "]}";
 
   // Deliberately absent: the timing fields of FusionResult (wall time
   // is never deterministic) and the detector counters (per-run, reset
   // to zero by Session::Load — including them would make a reloaded
   // session render differently from the one that wrote the snapshot).
-  return root.Dump();
+  return out;
 }
 
 Status Session::Save(const std::string& path) {
@@ -596,28 +686,29 @@ Status Session::Save(const std::string& path) {
         "(without online_updates, Run() hands its state to the caller "
         "and keeps nothing; use online_updates or the streaming API)");
   }
-  // A finished streaming run keeps its result in the loop; sync it
-  // into the report before persisting.
-  if (loop_ != nullptr) report_.fusion = loop_->result();
+  // A finished streaming run keeps its result in the loop.
+  const FusionResult& fusion =
+      loop_ != nullptr ? loop_->result() : report_.fusion;
   // Fail here, not at some later Load: a fusion result that does not
   // match the current data (e.g. a run's report was handed to the
   // caller and the session kept only a loaded snapshot) must never
   // reach disk.
-  if (report_.fusion.accuracies.size() != data->num_sources() ||
-      report_.fusion.value_probs.size() != data->num_slots()) {
+  if (fusion.accuracies.size() != data->num_sources() ||
+      fusion.value_probs.size() != data->num_slots()) {
     return Status::FailedPrecondition(
         "Session::Save: the session holds no fusion state for its "
         "current data set — complete a run on it first");
   }
-  snapshot::SessionState state;
+  // Written straight from the live structures: nothing is copied.
+  const std::vector<snapshot::OptionField> fields = OptionFieldsOf(options_);
+  snapshot::SessionStateView state;
   state.generation = data->generation();
-  state.options = OptionFieldsOf(options_);
-  state.data = *data;
-  state.fusion = report_.fusion;
+  state.options = fields;
+  state.data = data;
+  state.fusion = &fusion;
   if (overlaps_ != nullptr && overlaps_->HasFor(state.generation)) {
-    state.has_overlaps = true;
+    state.overlaps = &overlaps_->counts();
     state.overlaps_generation = state.generation;
-    state.overlaps = overlaps_->counts();
   }
   return snapshot::Write(path, state);
 }

@@ -1,10 +1,10 @@
 #include "common/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 namespace copydetect {
 
@@ -12,22 +12,92 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-/// Shortest decimal literal that round-trips `d` exactly: try
-/// increasing precision until strtod gives the same bits back. Bounded
-/// by %.17g, which always round-trips IEEE-754 doubles.
-std::string DoubleLiteral(double d) {
-  char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
+/// Appends `s` to `out` with the minimal JSON escaping: `"` `\` and
+/// control characters; every other byte (multi-byte UTF-8 included)
+/// passes through. Runs of plain bytes are copied in one append.
+void AppendEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\b':
+        *out += "\\b";
+        break;
+      case '\f':
+        *out += "\\f";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                             kHex[c & 0xf]};
+        out->append(esc, sizeof(esc));
+      }
+    }
   }
-  // JSON forbids bare leading '.' / "inf"-style spellings; %g never
-  // produces them for finite input, but normalize "-0" to keep the
-  // canonical form stable across libc quirks.
-  return buf;
+  out->append(s.data() + run, s.size() - run);
 }
 
 }  // namespace
+
+void AppendJsonDouble(double d, std::string* out) {
+  if (!std::isfinite(d)) {
+    *out += "null";
+    return;
+  }
+  // The literal is the one the loop "for precision = 1..17: snprintf
+  // %.*g; stop when strtod gives `d` back" produces, byte for byte,
+  // but the loop starts at the shortest round-trip digit count P:
+  // no precision below P can round-trip, so the first hit is the same
+  // literal. The hit lies above P only where the correctly rounded
+  // P-digit decimal falls outside `d`'s rounding interval (the narrow
+  // side of a power of two). to_chars with a precision is specified
+  // as printf %.*g, from_chars as strtod. Plain shortest to_chars is
+  // not used: its spelling differs from %g ("1e-04" for 0.0001, "100"
+  // where the loop gives "1e+02").
+  char buf[32];
+  char* const end = buf + sizeof(buf);
+  // P: the significand digits of "[-]D[.DDD]e±XX".
+  const std::to_chars_result shortest =
+      std::to_chars(buf, end, d, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p != shortest.ptr && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
+  }
+  std::to_chars_result r{};
+  for (int precision = digits; precision <= 17; ++precision) {
+    r = std::to_chars(buf, end, d, std::chars_format::general,
+                      precision);
+    double back = 0.0;
+    const std::from_chars_result parsed =
+        std::from_chars(buf, r.ptr, back);
+    if (parsed.ec == std::errc() && back == d) break;
+  }
+  out->append(buf, r.ptr);
+}
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  *out += '"';
+  AppendEscaped(s, out);
+  *out += '"';
+}
 
 JsonValue JsonValue::Bool(bool b) {
   JsonValue v(Kind::kBool);
@@ -38,7 +108,7 @@ JsonValue JsonValue::Bool(bool b) {
 JsonValue JsonValue::Double(double d) {
   if (!std::isfinite(d)) return Null();
   JsonValue v(Kind::kNumber);
-  v.text_ = DoubleLiteral(d);
+  AppendJsonDouble(d, &v.text_);
   return v;
 }
 
@@ -170,39 +240,7 @@ bool JsonValue::GetBool(std::string_view key, bool def) const {
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  AppendEscaped(s, &out);
   return out;
 }
 
@@ -221,9 +259,7 @@ void JsonValue::DumpTo(std::string* out) const {
       if (raw_) {
         *out += text_;
       } else {
-        *out += '"';
-        *out += JsonEscape(text_);
-        *out += '"';
+        AppendJsonString(text_, out);
       }
       return;
     case Kind::kArray: {
@@ -243,9 +279,8 @@ void JsonValue::DumpTo(std::string* out) const {
       for (const auto& [k, v] : members_) {
         if (!first) *out += ',';
         first = false;
-        *out += '"';
-        *out += JsonEscape(k);
-        *out += "\":";
+        AppendJsonString(k, out);
+        *out += ':';
         v.DumpTo(out);
       }
       *out += '}';

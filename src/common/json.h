@@ -46,8 +46,9 @@ class JsonValue {
 
   static JsonValue Null() { return JsonValue(); }
   static JsonValue Bool(bool b);
-  /// Finite doubles render as shortest-round-trip decimal ("%.17g"
-  /// trimmed); non-finite values render as null (JSON has no inf/nan).
+  /// Renders through AppendJsonDouble: the shortest round-trip
+  /// decimal in %g spelling; non-finite values render as null (JSON
+  /// has no inf/nan).
   static JsonValue Double(double d);
   static JsonValue Int64(int64_t v);
   static JsonValue Uint64(uint64_t v);
@@ -125,6 +126,21 @@ class JsonValue {
 /// added): `"` `\` and control characters only, multi-byte UTF-8
 /// passed through.
 std::string JsonEscape(std::string_view s);
+
+// Streaming writers for callers that render straight into one string
+// instead of building a JsonValue tree (Report::ToJson). JsonValue
+// renders through the same two functions, so both paths produce the
+// same bytes.
+
+/// Appends `s` as a quoted JSON string literal, escaped as JsonEscape.
+void AppendJsonString(std::string_view s, std::string* out);
+
+/// Appends the JSON number literal for `d`: the shortest decimal that
+/// round-trips to the same double, in printf %g spelling (the first
+/// precision from 1 to 17 whose "%.*g" parses back to `d`), e.g.
+/// 0.1 -> "0.1", 100 -> "1e+02", 1e-05 -> "1e-05", -0.0 -> "-0".
+/// Non-finite values append null.
+void AppendJsonDouble(double d, std::string* out);
 
 /// Parses exactly one JSON value spanning all of `text` (leading and
 /// trailing whitespace allowed, anything else after the value is an

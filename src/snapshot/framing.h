@@ -2,11 +2,11 @@
 #define COPYDETECT_SNAPSHOT_FRAMING_H_
 
 /// \file
-/// Internal file-framing primitives shared by the streaming reader
-/// (snapshot_io.cc) and the mapped reader (mmap_reader.cc): the
-/// checksum, the fixed header/table geometry, and the parsed form of
-/// one section-table entry. Byte-level layout lives in docs/FORMATS.md;
-/// nothing here is public API.
+/// Internal file-framing primitives shared by snapshot_io.cc (the
+/// writer and the streaming reader) and mmap_reader.cc (the mapped
+/// reader): the checksum, the fixed header/table geometry, and the
+/// parsed form of one section-table entry. Byte-level layout lives in
+/// docs/FORMATS.md; nothing here is public API.
 
 #include <bit>
 #include <cstddef>
@@ -33,26 +33,54 @@ inline uint64_t ByteSwap64(uint64_t v) {
   return (v << 32) | (v >> 32);
 }
 
+/// Hash64 over bytes that arrive in pieces (the streaming writer
+/// hashes each payload as it goes to disk). The total size seeds the
+/// hash, so it must be known up front; Update may be called with any
+/// split of the bytes and Finish gives what Hash64 gives on the whole.
+class Hasher64 {
+ public:
+  explicit Hasher64(uint64_t size)
+      : h_(0xcbf29ce484222325ULL ^ (size * 0x100000001b3ULL)) {}
+
+  void Update(const uint8_t* data, size_t size) {
+    // Top up a word left partial by the previous piece.
+    while (fill_ != 0 && size != 0) {
+      partial_ |= static_cast<uint64_t>(*data++) << (8 * fill_);
+      --size;
+      if (++fill_ == 8) {
+        h_ = Mix64(h_ ^ partial_);
+        partial_ = 0;
+        fill_ = 0;
+      }
+    }
+    for (; size >= 8; data += 8, size -= 8) {
+      uint64_t word;
+      std::memcpy(&word, data, 8);
+      if constexpr (std::endian::native == std::endian::big) {
+        word = ByteSwap64(word);
+      }
+      h_ = Mix64(h_ ^ word);
+    }
+    for (; size != 0; --size) {
+      partial_ |= static_cast<uint64_t>(*data++) << (8 * fill_++);
+    }
+  }
+
+  /// The final partial word is zero-padded.
+  uint64_t Finish() const {
+    return fill_ != 0 ? Mix64(h_ ^ partial_) : h_;
+  }
+
+ private:
+  uint64_t h_;
+  uint64_t partial_ = 0;
+  unsigned fill_ = 0;  ///< bytes held in partial_
+};
+
 inline uint64_t Hash64(const uint8_t* data, size_t size) {
-  uint64_t h = 0xcbf29ce484222325ULL ^ (static_cast<uint64_t>(size) *
-                                        0x100000001b3ULL);
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, 8);
-    if constexpr (std::endian::native == std::endian::big) {
-      word = ByteSwap64(word);
-    }
-    h = Mix64(h ^ word);
-  }
-  if (i < size) {
-    uint64_t word = 0;
-    for (size_t j = 0; i + j < size; ++j) {
-      word |= static_cast<uint64_t>(data[i + j]) << (8 * j);
-    }
-    h = Mix64(h ^ word);
-  }
-  return h;
+  Hasher64 h(size);
+  h.Update(data, size);
+  return h.Finish();
 }
 
 // ---------------------------------------------------------------------

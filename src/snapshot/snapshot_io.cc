@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,9 +39,9 @@ struct DatasetSerde {
     std::vector<SlotId> obs_slot;
   };
 
-  // Write-path accessors: serialization reads the arrays in place
-  // (copying a large Dataset just to write it would double the Save
-  // peak next to the byte buffer).
+  // Write-path accessors: serialization streams the arrays from
+  // where they live (copying a large Dataset just to write it would
+  // double the Save peak).
   static const StringArray& source_names(const Dataset& d) {
     return d.source_names_;
   }
@@ -164,35 +166,51 @@ using snapshot_internal::TableEntry;
 // Little-endian wire primitives. Scalars are encoded byte-wise (so the
 // code is endian-correct by construction); bulk POD arrays take the
 // memcpy fast path on little-endian hosts.
+//
+// A Writer runs in one of two modes. A measuring writer only counts
+// the bytes (the framing pass that sizes each section); a streaming
+// writer sends them to the file through a small buffer — large arrays
+// straight from the live structure — and hashes them on the way out.
+// Every section serializer runs once in each mode, so the measured
+// size and the written bytes come from the same code, and no payload
+// is ever assembled in memory.
 
 class Writer {
  public:
-  void U8(uint8_t v) { bytes_.push_back(v); }
+  /// Measuring writer: counts bytes, writes none.
+  Writer() : hash_(0) {}
+
+  /// Streaming writer: appends to `file` and checksums the `size`
+  /// bytes the measuring pass counted for this payload.
+  Writer(std::FILE* file, uint64_t size) : file_(file), hash_(size) {}
+
+  void U8(uint8_t v) { Put(&v, 1); }
 
   void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+    uint8_t b[4];
+    for (int i = 0; i < 4; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    Put(b, 4);
   }
 
   void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+    uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    Put(b, 8);
   }
 
   void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
 
   void Str(std::string_view s) {
     U64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    Put(s.data(), s.size());
   }
 
   /// Zero-pads to the next 8-byte boundary relative to the payload
   /// start. Section payloads start 8-aligned in the file (version 2),
   /// so padding here lands the bytes 8-aligned on disk.
   void AlignTo8() {
-    while (bytes_.size() % 8 != 0) bytes_.push_back(0);
+    static constexpr uint8_t kZeros[8] = {};
+    Put(kZeros, (8 - size_ % 8) % 8);
   }
 
   template <typename T>
@@ -202,10 +220,8 @@ class Writer {
     // start on an 8-byte file offset — the mmap view requirement.
     AlignTo8();
     U64(v.size());
-    if (v.empty()) return;  // data() may be null on an empty span
     if constexpr (std::endian::native == std::endian::little) {
-      const uint8_t* raw = reinterpret_cast<const uint8_t*>(v.data());
-      bytes_.insert(bytes_.end(), raw, raw + v.size() * sizeof(T));
+      Put(v.data(), v.size() * sizeof(T));
     } else {
       for (const T& e : v) {
         if constexpr (sizeof(T) == 4) {
@@ -227,7 +243,7 @@ class Writer {
     Vec(v.span());
   }
 
-  void StrVec(const std::vector<std::string>& v) {
+  void StrVec(std::span<const std::string> v) {
     U64(v.size());
     for (const std::string& s : v) Str(s);
   }
@@ -237,26 +253,52 @@ class Writer {
     for (size_t i = 0; i < v.size(); ++i) Str(v[i]);
   }
 
-  size_t size() const { return bytes_.size(); }
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t>& bytes() { return bytes_; }
+  /// Bytes written (or counted) so far.
+  uint64_t size() const { return size_; }
 
-  /// Patches a previously written u64 at `offset` (section table
-  /// back-fill).
-  void PatchU64(size_t offset, uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
-
-  void PatchU32(size_t offset, uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-    }
+  /// Streaming mode: drains the buffer and hands back the payload
+  /// checksum. False when the file refused bytes.
+  bool Finish(uint64_t* checksum) {
+    Flush();
+    *checksum = hash_.Finish();
+    return ok_;
   }
 
  private:
-  std::vector<uint8_t> bytes_;
+  static constexpr size_t kBufferSize = 16 << 10;
+
+  void Put(const void* data, size_t n) {
+    size_ += n;
+    if (file_ == nullptr || n == 0) return;
+    const uint8_t* bytes = static_cast<const uint8_t*>(data);
+    if (used_ + n > kBufferSize) {
+      Flush();
+      if (n >= kBufferSize) {
+        Emit(bytes, n);
+        return;
+      }
+    }
+    std::memcpy(buffer_ + used_, bytes, n);
+    used_ += n;
+  }
+
+  void Flush() {
+    Emit(buffer_, used_);
+    used_ = 0;
+  }
+
+  void Emit(const uint8_t* data, size_t n) {
+    if (n == 0) return;
+    hash_.Update(data, n);
+    if (std::fwrite(data, 1, n, file_) != n) ok_ = false;
+  }
+
+  std::FILE* file_ = nullptr;  ///< null: measuring only
+  snapshot_internal::Hasher64 hash_;
+  uint64_t size_ = 0;
+  bool ok_ = true;
+  size_t used_ = 0;
+  uint8_t buffer_[kBufferSize];
 };
 
 /// Bounds-checked reader over one section payload (or the header).
@@ -430,7 +472,7 @@ class Reader {
 // ---------------------------------------------------------------------
 // Section payloads.
 
-void WriteOptions(const std::vector<OptionField>& options, Writer* w) {
+void WriteOptions(std::span<const OptionField> options, Writer* w) {
   w->U64(options.size());
   for (const OptionField& f : options) {
     w->Str(f.name);
@@ -638,9 +680,9 @@ void WriteRawMapU32(const FlatHashMap<uint32_t>& map, Writer* w) {
   w->Vec(map.raw_values());
 }
 
-void WriteOverlaps(const SessionState& state, Writer* w) {
-  w->U64(state.overlaps_generation);
-  const OverlapCounts& c = state.overlaps;
+void WriteOverlaps(uint64_t generation, const OverlapCounts& c,
+                   Writer* w) {
+  w->U64(generation);
   w->U8(OverlapSerde::dense_mode(c) ? 1 : 0);
   w->U32(OverlapSerde::num_sources(c));
   w->Vec(OverlapSerde::dense(c));
@@ -883,6 +925,27 @@ OptionField OptionField::Text(std::string name, std::string v) {
 
 namespace {
 
+/// One section of a framed file: its id and the serializer that emits
+/// its payload. The serializer runs twice — once measuring, once
+/// streaming — and must emit the same bytes both times.
+struct SectionSource {
+  SectionId id;
+  std::function<void(Writer*)> write;
+};
+
+/// The framing routine behind every file this library writes (session
+/// snapshots, shard results, BSP state): header, table, meta checksum,
+/// then the payloads with each start offset padded to 8 bytes (the
+/// version-2 alignment invariant; the zero gap bytes are excluded from
+/// the recorded sizes). The payload area itself starts 8-aligned by
+/// construction: 32-byte header + 32-byte entries + 8-byte meta
+/// checksum.
+///
+/// The payloads are measured first, then streamed to their final
+/// offsets and checksummed on the way; the header and table, which
+/// carry those checksums, go into the gap left at the start of the
+/// file last. Memory stays at one small buffer whatever the file size.
+///
 /// Temp-and-rename in the target directory so a crash mid-write
 /// cannot leave a torn file under the final name (rename within one
 /// directory is atomic on POSIX). fflush moves the bytes to the
@@ -890,17 +953,75 @@ namespace {
 /// rename can commit the new name while the data is still only in the
 /// page cache, and a power loss would replace a good file with a torn
 /// one.
-Status WriteFileAtomic(const std::string& path,
-                       const std::vector<uint8_t>& bytes) {
+Status WriteFramed(const std::string& path, uint64_t generation,
+                   std::span<const SectionSource> sections) {
+  std::vector<TableEntry> table(sections.size());
+  const uint64_t payload_begin =
+      kHeaderSize + sections.size() * kTableEntrySize + 8;
+  uint64_t offset = payload_begin;
+  for (size_t i = 0; i < sections.size(); ++i) {
+    Writer measure;
+    sections[i].write(&measure);
+    offset = (offset + 7) & ~uint64_t{7};
+    table[i].id = static_cast<uint32_t>(sections[i].id);
+    table[i].offset = offset;
+    table[i].size = measure.size();
+    offset += measure.size();
+  }
+
   const std::string tmp_path = path + ".tmp";
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IOError("cannot open " + tmp_path + " for writing");
   }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0 && fsync(fileno(f)) == 0;
+  bool ok = std::fseek(f, static_cast<long>(payload_begin), SEEK_SET) == 0;
+  uint64_t pos = payload_begin;
+  for (size_t i = 0; ok && i < sections.size(); ++i) {
+    static constexpr uint8_t kZeros[8] = {};
+    const size_t gap = static_cast<size_t>(table[i].offset - pos);
+    ok = std::fwrite(kZeros, 1, gap, f) == gap;
+    Writer w(f, table[i].size);
+    sections[i].write(&w);
+    ok = w.Finish(&table[i].checksum) && ok;
+    if (w.size() != table[i].size) {
+      std::fclose(f);
+      std::remove(tmp_path.c_str());
+      return Status::Internal(StrFormat(
+          "snapshot: section %u serialized to %llu bytes after "
+          "measuring %llu",
+          table[i].id, static_cast<unsigned long long>(w.size()),
+          static_cast<unsigned long long>(table[i].size)));
+    }
+    pos = table[i].offset + table[i].size;
+  }
+
+  std::vector<uint8_t> head;
+  head.reserve(payload_begin);
+  auto le = [&head](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      head.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  head.insert(head.end(), std::begin(kMagic), std::end(kMagic));
+  le(kFormatVersion, 4);
+  le(0, 4);  // flags
+  le(generation, 8);
+  le(sections.size(), 4);
+  le(0, 4);  // reserved
+  for (const TableEntry& e : table) {
+    le(e.id, 4);
+    le(0, 4);  // per-section reserved/version
+    le(e.offset, 8);
+    le(e.size, 8);
+    le(e.checksum, 8);
+  }
+  le(Hash64(head.data(), head.size()), 8);
+  ok = ok && std::fseek(f, 0, SEEK_SET) == 0 &&
+       std::fwrite(head.data(), 1, head.size(), f) == head.size();
+
+  const bool flushed = ok && std::fflush(f) == 0 && fsync(fileno(f)) == 0;
   const bool closed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed || !closed) {
+  if (!flushed || !closed) {
     std::remove(tmp_path.c_str());
     return Status::IOError("short write to " + tmp_path);
   }
@@ -909,45 +1030,6 @@ Status WriteFileAtomic(const std::string& path,
     return Status::IOError("cannot rename " + tmp_path + " to " + path);
   }
   return Status::OK();
-}
-
-/// Assembles the framed file around the given section payloads:
-/// header, table, meta checksum, then the payloads with each start
-/// offset padded to 8 bytes (the version-2 alignment invariant; the
-/// zero gap bytes are excluded from the recorded sizes). The payload
-/// area itself starts 8-aligned by construction: 32-byte header +
-/// 32-byte entries + 8-byte meta checksum.
-std::vector<uint8_t> FrameSections(
-    uint64_t generation,
-    const std::vector<std::pair<SectionId, Writer>>& sections) {
-  Writer file;
-  for (unsigned char c : kMagic) file.U8(c);
-  file.U32(kFormatVersion);
-  file.U32(0);  // flags
-  file.U64(generation);
-  file.U32(static_cast<uint32_t>(sections.size()));
-  file.U32(0);  // reserved
-
-  const size_t table_begin = file.size();
-  uint64_t payload_offset = table_begin +
-                            sections.size() * kTableEntrySize +
-                            8;  // + meta checksum
-  for (const auto& [id, payload] : sections) {
-    payload_offset = (payload_offset + 7) & ~uint64_t{7};
-    file.U32(static_cast<uint32_t>(id));
-    file.U32(0);  // per-section reserved/version
-    file.U64(payload_offset);
-    file.U64(payload.size());
-    file.U64(Hash64(payload.bytes().data(), payload.size()));
-    payload_offset += payload.size();
-  }
-  file.U64(Hash64(file.bytes().data(), file.size()));
-  for (const auto& [id, payload] : sections) {
-    file.AlignTo8();
-    file.bytes().insert(file.bytes().end(), payload.bytes().begin(),
-                        payload.bytes().end());
-  }
-  return std::move(file.bytes());
 }
 
 Status ReadFileBytes(const std::string& path,
@@ -1053,32 +1135,37 @@ Status ParseFraming(const std::vector<uint8_t>& bytes,
 
 }  // namespace
 
-Status Write(const std::string& path, const SessionState& state) {
-  // Serialize every present section payload first; the table is
-  // back-filled once offsets are known.
-  std::vector<std::pair<SectionId, Writer>> sections;
-  {
-    Writer w;
-    WriteOptions(state.options, &w);
-    sections.emplace_back(SectionId::kOptions, std::move(w));
+Status Write(const std::string& path, const SessionStateView& state) {
+  std::vector<SectionSource> sections;
+  sections.push_back({SectionId::kOptions, [&state](Writer* w) {
+                        WriteOptions(state.options, w);
+                      }});
+  sections.push_back({SectionId::kDataset, [&state](Writer* w) {
+                        WriteDataset(*state.data, w);
+                      }});
+  if (state.overlaps != nullptr) {
+    sections.push_back({SectionId::kOverlaps, [&state](Writer* w) {
+                          WriteOverlaps(state.overlaps_generation,
+                                        *state.overlaps, w);
+                        }});
   }
-  {
-    Writer w;
-    WriteDataset(state.data, &w);
-    sections.emplace_back(SectionId::kDataset, std::move(w));
-  }
-  if (state.has_overlaps) {
-    Writer w;
-    WriteOverlaps(state, &w);
-    sections.emplace_back(SectionId::kOverlaps, std::move(w));
-  }
-  {
-    Writer w;
-    WriteFusion(state.fusion, &w);
-    sections.emplace_back(SectionId::kFusion, std::move(w));
-  }
+  sections.push_back({SectionId::kFusion, [&state](Writer* w) {
+                        WriteFusion(*state.fusion, w);
+                      }});
+  return WriteFramed(path, state.generation, sections);
+}
 
-  return WriteFileAtomic(path, FrameSections(state.generation, sections));
+Status Write(const std::string& path, const SessionState& state) {
+  SessionStateView view;
+  view.generation = state.generation;
+  view.options = state.options;
+  view.data = &state.data;
+  if (state.has_overlaps) {
+    view.overlaps = &state.overlaps;
+    view.overlaps_generation = state.overlaps_generation;
+  }
+  view.fusion = &state.fusion;
+  return Write(path, view);
 }
 
 StatusOr<std::vector<std::string>> ListSnapshotFiles(
@@ -1319,13 +1406,12 @@ StatusOr<SessionState> ReadMapped(const std::string& path) {
 namespace {
 
 Status WriteSingleSection(const std::string& path, SectionId id,
-                          Writer payload) {
-  std::vector<std::pair<SectionId, Writer>> sections;
-  sections.emplace_back(id, std::move(payload));
+                          std::function<void(Writer*)> write) {
+  const SectionSource section{id, std::move(write)};
   // Shard/state files carry no Dataset, so the generation slot is 0;
   // consistency with the coordinator's data set is the caller's
   // contract (the reader validates dimensions instead).
-  return WriteFileAtomic(path, FrameSections(/*generation=*/0, sections));
+  return WriteFramed(path, /*generation=*/0, {&section, 1});
 }
 
 /// Reads a shard-protocol file and hands back its single section's
@@ -1382,14 +1468,14 @@ Status WriteShardResult(const std::string& path,
         "slot",
         shard.shard_id, shard.num_shards));
   }
-  Writer w;
-  w.U32(shard.num_shards);
-  w.U32(shard.shard_id);
-  w.U32(static_cast<uint32_t>(shard.round));
-  w.U32(0);  // pad
-  WriteCounters(shard.counters, &w);
-  WriteCopies(shard.copies, &w);
-  return WriteSingleSection(path, SectionId::kShard, std::move(w));
+  return WriteSingleSection(path, SectionId::kShard, [&shard](Writer* w) {
+    w->U32(shard.num_shards);
+    w->U32(shard.shard_id);
+    w->U32(static_cast<uint32_t>(shard.round));
+    w->U32(0);  // pad
+    WriteCounters(shard.counters, w);
+    WriteCopies(shard.copies, w);
+  });
 }
 
 StatusOr<ShardResult> ReadShardResult(const std::string& path,
@@ -1428,12 +1514,12 @@ Status WriteBspState(const std::string& path, const BspState& state) {
     return Status::InvalidArgument(
         "state file: num_shards must be at least 1");
   }
-  Writer w;
-  w.U32(state.num_shards);
-  w.U32(0);  // pad
-  WriteCounters(state.counters, &w);
-  WriteFusion(state.fusion, &w);
-  return WriteSingleSection(path, SectionId::kState, std::move(w));
+  return WriteSingleSection(path, SectionId::kState, [&state](Writer* w) {
+    w->U32(state.num_shards);
+    w->U32(0);  // pad
+    WriteCounters(state.counters, w);
+    WriteFusion(state.fusion, w);
+  });
 }
 
 StatusOr<BspState> ReadBspState(const std::string& path,

@@ -131,9 +131,28 @@ struct SessionState {
   FusionResult fusion;
 };
 
+/// A read-only view of the same content, pointing into live state —
+/// what Session::Save hands to Write, so saving copies nothing: the
+/// payloads stream from these structures straight to the file.
+struct SessionStateView {
+  uint64_t generation = 0;
+  std::span<const OptionField> options;
+  const Dataset* data = nullptr;
+  /// Null when the file carries no OVERLAPS section.
+  const OverlapCounts* overlaps = nullptr;
+  uint64_t overlaps_generation = 0;
+  const FusionResult* fusion = nullptr;
+};
+
 /// Serializes `state` to `path` (overwriting). The file is written
 /// via a same-directory temporary + rename, so a crash mid-write
-/// never leaves a half-written file at `path`.
+/// never leaves a half-written file at `path`; the payloads stream to
+/// the temporary file through a small buffer, so peak memory does not
+/// grow with the file. `data` and `fusion` must be set.
+Status Write(const std::string& path, const SessionStateView& state);
+
+/// Write() of an owned state (tests build corrupt or inconsistent
+/// files through this).
 Status Write(const std::string& path, const SessionState& state);
 
 /// Reads and fully validates a snapshot file: magic, format version,

@@ -1,10 +1,16 @@
 #include "common/json.h"
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
+#include "test_util.h"
 
 namespace copydetect {
 namespace {
@@ -156,6 +162,61 @@ TEST(Json, ParseDumpRoundTripIsByteIdentical) {
   EXPECT_EQ(parsed->Dump(), canonical);
   // And a second generation stays fixed.
   EXPECT_EQ(ParseJson(parsed->Dump())->Dump(), canonical);
+}
+
+// --- Number literals: AppendJsonDouble keeps the spelling of the
+// original "%.*g, precision 1..17, first that round-trips" loop. ---
+
+std::string Literal(double d) {
+  std::string out;
+  AppendJsonDouble(d, &out);
+  return out;
+}
+
+TEST(JsonDouble, ExactSpellings) {
+  EXPECT_EQ(Literal(1e-05), "1e-05");
+  EXPECT_EQ(Literal(0.0001), "0.0001");
+  EXPECT_EQ(Literal(100.0), "1e+02");
+  EXPECT_EQ(Literal(123.0), "123");
+  EXPECT_EQ(Literal(1e+21), "1e+21");
+  EXPECT_EQ(Literal(5e-324), "5e-324");
+  EXPECT_EQ(Literal(-0.0), "-0");
+  EXPECT_EQ(Literal(0.0), "0");
+  EXPECT_EQ(Literal(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(Literal(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(Literal(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(Literal(std::numeric_limits<double>::quiet_NaN()), "null");
+  // JsonValue::Double renders through the same writer.
+  EXPECT_EQ(JsonValue::Double(1e-05).Dump(), "1e-05");
+}
+
+void ExpectMatchesReference(double d) {
+  ASSERT_EQ(Literal(d), testutil::ReferenceDoubleLiteral(d))
+      << "bits 0x" << std::hex << std::bit_cast<uint64_t>(d);
+}
+
+TEST(JsonDouble, MatchesReferenceLoopOnRandomDoubles) {
+  Rng rng(20261018);
+  for (int i = 0; i < 20000; ++i) {
+    ExpectMatchesReference(rng.NextDouble());
+    // Arbitrary bit patterns cover every exponent, subnormals too.
+    const double any = std::bit_cast<double>(rng.NextU64());
+    if (std::isfinite(any)) ExpectMatchesReference(any);
+  }
+}
+
+TEST(JsonDouble, MatchesReferenceLoopAroundPowersOfTwo) {
+  // The narrow side of a power of two is where the correctly rounded
+  // shortest-length decimal can fail to round-trip, so the loop runs
+  // past the shortest digit count there.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (double d :
+         {p, std::nextafter(p, 0.0), std::nextafter(p, DBL_MAX)}) {
+      ExpectMatchesReference(d);
+      ExpectMatchesReference(-d);
+    }
+  }
 }
 
 }  // namespace

@@ -178,6 +178,49 @@ TEST(SessionSnapshot, WarmStartGeneratedWorld) {
   }
 }
 
+std::vector<char> FileBytes(const std::string& path) {
+  std::vector<char> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return bytes;
+  char buf[1 << 14];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(SessionSnapshot, SaveWritesTheBytesOfAnOwnedStateWrite) {
+  // Save streams from the live session (a view, no copy). Reading the
+  // file back and writing the owned state again must reproduce it
+  // byte for byte — the view path and the owned path frame the same
+  // content identically, overlaps included.
+  auto world = MakeWorldByName("book-cs", 0.1, 5);
+  CD_CHECK_OK(world.status());
+  SessionOptions options;
+  options.online_updates = true;
+  options.n = world->suggested_n;
+  auto session = Session::Create(options);
+  CD_CHECK_OK(session.status());
+  CD_CHECK_OK(session->Run(world->data).status());
+  DatasetDelta delta;
+  delta.Set(world->data.source_name(1), world->data.item_name(0),
+            "pushed");
+  CD_CHECK_OK(session->Update(delta));
+  const std::string saved = TempPath("view_save.cdsnap");
+  const std::string rewritten = TempPath("view_rewrite.cdsnap");
+  CD_CHECK_OK(session->Save(saved));
+  auto state = snapshot::Read(saved);
+  CD_CHECK_OK(state.status());
+  ASSERT_TRUE(state->has_overlaps);
+  CD_CHECK_OK(snapshot::Write(rewritten, *state));
+  EXPECT_TRUE(FileBytes(saved) == FileBytes(rewritten));
+  std::remove(saved.c_str());
+  std::remove(rewritten.c_str());
+}
+
 TEST(SessionSnapshot, StreamingAfterLoadMatchesLiveSession) {
   World world = MotivatingExample();
   const std::string path = TempPath("stream_after_load.cdsnap");

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "common/flat_hash.h"
 #include "model/dataset.h"
 #include "simjoin/overlap.h"
+#include "snapshot/framing.h"
 
 namespace copydetect {
 namespace {
@@ -112,6 +114,15 @@ SessionState FullState() {
   fusion.trace.push_back(trace);
   fusion.total_seconds = 1.5;
 
+  return state;
+}
+
+/// FullState() under a fixed generation token instead of the
+/// process-local one, so its file bytes are the same in every process.
+SessionState FixedGenerationState() {
+  SessionState state = FullState();
+  state.generation = 0x5eed;
+  state.overlaps_generation = state.generation;
   return state;
 }
 
@@ -621,6 +632,37 @@ TEST(SnapshotIoMappedCorruption, MisalignedForgedOffsetIsRefused) {
   EXPECT_NE(loaded.status().message().find("misaligned"),
             std::string::npos)
       << loaded.status().message();
+}
+
+TEST(SnapshotFraming, StreamedChecksumMatchesOneShot) {
+  // The writer checksums each payload in the pieces it streams; any
+  // split of the bytes must give the one-shot Hash64.
+  std::vector<uint8_t> bytes(203);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const uint64_t want = snapshot_internal::Hash64(bytes.data(),
+                                                  bytes.size());
+  for (size_t piece : {1, 3, 7, 8, 9, 64, 200}) {
+    snapshot_internal::Hasher64 h(bytes.size());
+    for (size_t at = 0; at < bytes.size(); at += piece) {
+      h.Update(bytes.data() + at, std::min(piece, bytes.size() - at));
+    }
+    EXPECT_EQ(h.Finish(), want) << "piece " << piece;
+  }
+}
+
+TEST(SnapshotIo, WriteMatchesCommittedVersion2Golden) {
+  // tests/data/v2_golden.cdsnap holds FixedGenerationState() as an
+  // earlier writer framed it: every byte of the current writer's
+  // output — header, table, checksums, padding, payloads — must match.
+  const std::string path = TempPath("v2_golden.cdsnap");
+  CD_CHECK_OK(snapshot::Write(path, FixedGenerationState()));
+  const std::vector<uint8_t> golden =
+      ReadFileBytes(std::string(CD_TEST_DATA_DIR) + "/v2_golden.cdsnap");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_TRUE(ReadFileBytes(path) == golden);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotIoMapped, Version1GoldenFallsBackToOwnedRead) {

@@ -2,9 +2,12 @@
 #define COPYDETECT_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/detector.h"
@@ -147,6 +150,19 @@ inline std::vector<uint64_t> CopySet(const CopyResult& result) {
   std::vector<uint64_t> keys = result.CopyingPairs();
   std::sort(keys.begin(), keys.end());
   return keys;
+}
+
+/// The JSON number spelling as the original writer produced it: the
+/// first precision from 1 to 17 whose "%.*g" parses back (strtod) to
+/// `d`. Kept as the reference AppendJsonDouble must match byte for
+/// byte.
+inline std::string ReferenceDoubleLiteral(double d) {
+  char buf[40];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  return buf;
 }
 
 }  // namespace testutil
