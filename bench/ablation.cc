@@ -4,9 +4,10 @@
 //       bookkeeping to BOUND+), swept around the paper's 16;
 //   (c) the §VIII parallel index scan, thread sweep.
 #include "core/bound.h"           // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
-#include "core/parallel_index.h"  // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
 
 #include "bench_util.h"
+#include "common/executor.h"
+#include "core/index_algo.h"  // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
 #include "fusion/truth_finder.h"  // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
 
 using namespace copydetect;
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
     for (size_t threshold : {0UL, 4UL, 16UL, 64UL, 256UL}) {
       FusionOptions options = OptionsFor(world);
       options.params.hybrid_threshold = threshold;
-      auto outcome = RunFusion(world, DetectorKind::kHybrid, options);
+      auto outcome = RunFusion(world, "hybrid", options);
       CD_CHECK_OK(outcome.status());
       sweep.AddRow({spec.name, StrFormat("%zu", threshold),
                     Millions(outcome->counters.Total()),
@@ -97,8 +98,11 @@ int main(int argc, char** argv) {
     FusionOptions options = OptionsFor(world, /*max_rounds=*/4);
     double base = 0.0;
     for (size_t threads : {1UL, 2UL, 4UL, 8UL, 16UL}) {
-      ParallelIndexDetector detector(options.params, threads);
-      auto outcome = RunFusionWithDetector(world, &detector, options);
+      Executor executor(threads);
+      FusionOptions threaded = options;
+      threaded.params.executor = &executor;
+      IndexDetector detector(threaded.params);
+      auto outcome = RunFusionWithDetector(world, &detector, threaded);
       CD_CHECK_OK(outcome.status());
       double secs = outcome->fusion.detect_seconds;
       if (threads == 1) base = secs;

@@ -21,12 +21,8 @@ int main(int argc, char** argv) {
   TextTable time;
   time.SetHeader({"Dataset", "index", "bound", "boundplus", "hybrid"});
 
-  const DetectorKind kinds[] = {
-      DetectorKind::kIndex,
-      DetectorKind::kBound,
-      DetectorKind::kBoundPlus,
-      DetectorKind::kHybrid,
-  };
+  const char* const detectors[] = {"index", "bound", "boundplus",
+                                   "hybrid"};
 
   for (const BenchDataset& spec : DefaultDatasets(scale)) {
     World world = MakeWorld(spec, seed);
@@ -34,8 +30,8 @@ int main(int argc, char** argv) {
 
     std::vector<std::string> comp_row = {spec.name};
     std::vector<std::string> time_row = {spec.name};
-    for (DetectorKind kind : kinds) {
-      auto outcome = RunFusion(world, kind, options);
+    for (const char* detector : detectors) {
+      auto outcome = RunFusion(world, detector, options);
       CD_CHECK_OK(outcome.status());
       comp_row.push_back(Millions(outcome->counters.Total()));
       time_row.push_back(HumanSeconds(outcome->fusion.detect_seconds));

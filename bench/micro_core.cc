@@ -677,7 +677,7 @@ constexpr std::string_view kReportToJsonName =
 
 void RegisterDetectorBenchmarks(size_t multi_threads) {
   // Every registered detector, straight from the registry — a
-  // detector added by one CD_REGISTER_DETECTOR stanza shows up here
+  // detector added by one row of the registry table shows up here
   // (and in --detector=<name>) with no bench change.
   for (const std::string& name : ListDetectors()) {
     std::string bench_name = std::string(kDetectorPrefix) + name;

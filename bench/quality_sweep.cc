@@ -48,22 +48,21 @@ int main(int argc, char** argv) {
   flags.String("scenarios", &scenarios_csv,
                "comma-separated scenario names (default: all)");
   flags.String("detectors", &detectors_csv,
-               "comma-separated detector kinds to sweep");
+               "comma-separated detector names to sweep");
   JsonFlag(flags, &json_path);
   flags.ParseOrDie(argc, argv);
 
   std::vector<std::string> scenario_names =
       scenarios_csv.empty() ? ScenarioNames() : Split(scenarios_csv, ',');
-  std::vector<DetectorKind> kinds;
-  for (const std::string& name : Split(detectors_csv, ',')) {
-    DetectorKind kind;
-    if (!ParseDetectorKind(name, &kind)) {
+  std::vector<std::string> detectors = Split(detectors_csv, ',');
+  for (const std::string& name : detectors) {
+    if (!DetectorRegistry::Global().Contains(name)) {
       std::fprintf(stderr,
-                   "quality_sweep: unknown detector kind '%s'\n",
-                   name.c_str());
+                   "quality_sweep: unknown detector '%s' (available: "
+                   "%s)\n",
+                   name.c_str(), ListDetectorsJoined().c_str());
       return 2;
     }
-    kinds.push_back(kind);
   }
 
   QualityReporter reporter("quality_sweep");
@@ -75,8 +74,8 @@ int main(int argc, char** argv) {
     TextTable table;
     table.SetHeader({"Detector", "Prec", "Rec", "F-msr", "Accu",
                      "Pairs", "Rounds", "Time"});
-    for (DetectorKind kind : kinds) {
-      auto result = EvaluateScenario(scenario, kind);
+    for (const std::string& detector : detectors) {
+      auto result = EvaluateScenario(scenario, detector);
       CD_CHECK_OK(result.status());
       table.AddRow({result->detector, Fmt(result->pairs.precision),
                     Fmt(result->pairs.recall), Fmt(result->pairs.f1),

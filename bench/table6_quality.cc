@@ -58,16 +58,16 @@ int main(int argc, char** argv) {
     FusionOptions options = OptionsFor(world);
     double rate = DefaultSamplingRate(spec.name);
 
-    auto reference = RunFusion(world, DetectorKind::kPairwise, options);
+    auto reference = RunFusion(world, "pairwise", options);
     CD_CHECK_OK(reference.status());
 
     std::vector<MethodResult> methods;
-    auto run_kind = [&](const std::string& name, DetectorKind kind) {
-      auto outcome = RunFusion(world, kind, options);
+    auto run_kind = [&](const std::string& name) {
+      auto outcome = RunFusion(world, name, options);
       CD_CHECK_OK(outcome.status());
       methods.push_back({name, std::move(outcome).value()});
     };
-    auto run_sampled = [&](const std::string& name, DetectorKind base,
+    auto run_sampled = [&](const std::string& name, const char* base,
                            SamplingMethod method, double r) {
       auto detector =
           MakeSampledDetector(options.params, base, method, r, seed);
@@ -78,15 +78,15 @@ int main(int argc, char** argv) {
     };
 
     // SAMPLE1/SAMPLE2: naive sampling + PAIRWISE (§VI-A).
-    run_sampled("sample1 (by-item)", DetectorKind::kPairwise,
+    run_sampled("sample1 (by-item)", "pairwise",
                 SamplingMethod::kByItem, rate);
-    run_sampled("sample2 (by-cell)", DetectorKind::kPairwise,
+    run_sampled("sample2 (by-cell)", "pairwise",
                 SamplingMethod::kByCell,
                 spec.name == "stock-1day" ? rate : rate * 3.0);
-    run_kind("index", DetectorKind::kIndex);
-    run_kind("hybrid", DetectorKind::kHybrid);
-    run_kind("incremental", DetectorKind::kIncremental);
-    run_sampled("scalesample", DetectorKind::kIncremental,
+    run_kind("index");
+    run_kind("hybrid");
+    run_kind("incremental");
+    run_sampled("scalesample", "incremental",
                 SamplingMethod::kScaleSample, rate);
 
     PrintQualityReport(world, spec.name + StrFormat(" (scale %.2f)", spec.scale),

@@ -33,12 +33,12 @@ int main(int argc, char** argv) {
     FusionOptions options = OptionsFor(world);
     double rate = DefaultSamplingRate(spec.name);
 
-    auto detect_seconds = [&](DetectorKind kind) {
-      auto outcome = RunFusion(world, kind, options);
+    auto detect_seconds = [&](const char* detector) {
+      auto outcome = RunFusion(world, detector, options);
       CD_CHECK_OK(outcome.status());
       return outcome->fusion.detect_seconds;
     };
-    auto sampled_seconds = [&](DetectorKind base, SamplingMethod method,
+    auto sampled_seconds = [&](const char* base, SamplingMethod method,
                                double r) {
       auto detector =
           MakeSampledDetector(options.params, base, method, r, seed);
@@ -48,19 +48,19 @@ int main(int argc, char** argv) {
       return outcome->fusion.detect_seconds;
     };
 
-    double pairwise = detect_seconds(DetectorKind::kPairwise);
-    double sample1 = sampled_seconds(DetectorKind::kPairwise,
+    double pairwise = detect_seconds("pairwise");
+    double sample1 = sampled_seconds("pairwise",
                                      SamplingMethod::kByItem, rate);
     double sample2 = sampled_seconds(
-        DetectorKind::kPairwise, SamplingMethod::kByCell,
+        "pairwise", SamplingMethod::kByCell,
         spec.name == "stock-1day" || spec.name == "stock-2wk"
             ? rate
             : rate * 3.0);
-    double index = detect_seconds(DetectorKind::kIndex);
-    double hybrid = detect_seconds(DetectorKind::kHybrid);
-    double incremental = detect_seconds(DetectorKind::kIncremental);
+    double index = detect_seconds("index");
+    double hybrid = detect_seconds("hybrid");
+    double incremental = detect_seconds("incremental");
     double scalesample = sampled_seconds(
-        DetectorKind::kIncremental, SamplingMethod::kScaleSample, rate);
+        "incremental", SamplingMethod::kScaleSample, rate);
 
     std::vector<TimedMethod> rows = {
         {"pairwise", pairwise, "-"},

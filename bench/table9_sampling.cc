@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     FusionOptions options = OptionsFor(world);
     double rate = DefaultSamplingRate(spec.name);
 
-    auto reference = RunFusion(world, DetectorKind::kIndex, options);
+    auto reference = RunFusion(world, "index", options);
     CD_CHECK_OK(reference.status());
 
     // SCALESAMPLE first: its achieved item/cell fractions set the
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     };
     for (const Entry& e : entries) {
       auto detector = MakeSampledDetector(
-          options.params, DetectorKind::kIncremental, e.method, e.r,
+          options.params, "incremental", e.method, e.r,
           seed);
       auto outcome =
           RunFusionWithDetector(world, detector.get(), options);

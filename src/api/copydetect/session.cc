@@ -327,8 +327,12 @@ void Session::RefreshReport() {
 }
 
 const Report& Session::report() {
-  if (loop_ != nullptr) report_.fusion = loop_->result();
-  RefreshReport();
+  // Only a live loop moves on between calls; a finished run, Load or
+  // merged shard run refreshed report_ when it completed.
+  if (loop_ != nullptr) {
+    report_.fusion = loop_->result();
+    RefreshReport();
+  }
   return report_;
 }
 

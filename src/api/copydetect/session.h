@@ -76,8 +76,9 @@ struct SessionState;
 struct SessionOptions {
   /// Registry name of the detection algorithm (see ListDetectors()):
   /// "pairwise", "index", "bound", "boundplus", "hybrid",
-  /// "incremental", "fagin-input", "parallel-index". Ignored when
-  /// use_copy_detection is false.
+  /// "incremental", "fagin-input", or an alias ("bound+",
+  /// "parallel-index"), which the report names by its canonical
+  /// detector. Ignored when use_copy_detection is false.
   std::string detector = "hybrid";
 
   // --- Bayesian copy-detection model (§II), DetectionParams. ---

@@ -1,7 +1,5 @@
 #include "core/bound.h"
 
-#include "core/detector_registry.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -290,16 +288,5 @@ Status BoundDetector::DetectRound(const DetectionInput& in, int round,
   last_index_seconds_ = extras.index_seconds;
   return st;
 }
-
-CD_REGISTER_DETECTOR(bound, "bound", [](const DetectionParams& p) {
-  return std::make_unique<BoundDetector>(p, /*lazy=*/false);
-});
-
-CD_REGISTER_DETECTOR(
-    boundplus, "boundplus",
-    [](const DetectionParams& p) {
-      return std::make_unique<BoundDetector>(p, /*lazy=*/true);
-    },
-    {"bound+"});
 
 }  // namespace copydetect

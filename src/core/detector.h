@@ -53,28 +53,6 @@ class CopyDetector {
   Counters counters_;
 };
 
-/// The algorithms of the paper, plus the parallel extension.
-enum class DetectorKind {
-  kPairwise,      ///< §II-B baseline
-  kIndex,         ///< §III
-  kBound,         ///< §IV-A
-  kBoundPlus,     ///< §IV-B
-  kHybrid,        ///< §IV end
-  kIncremental,   ///< §V (HYBRID for rounds 1-2)
-  kFaginInput,    ///< §II-B NRA baseline
-  kParallelIndex, ///< §VIII future-work extension
-};
-
-/// Name of a detector kind ("pairwise", "index", ...).
-std::string_view DetectorKindName(DetectorKind kind);
-
-/// Parses a detector kind by name; false when unknown.
-bool ParseDetectorKind(std::string_view name, DetectorKind* out);
-
-/// Factory for all detector kinds.
-std::unique_ptr<CopyDetector> MakeDetector(DetectorKind kind,
-                                           const DetectionParams& params);
-
 }  // namespace copydetect
 
 #endif  // COPYDETECT_CORE_DETECTOR_H_

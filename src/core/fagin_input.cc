@@ -1,7 +1,5 @@
 #include "core/fagin_input.h"
 
-#include "core/detector_registry.h"
-
 #include <algorithm>
 
 #include "common/timer.h"
@@ -118,10 +116,5 @@ Status FaginInputDetector::DetectRound(const DetectionInput& in,
   });
   return Status::OK();
 }
-
-CD_REGISTER_DETECTOR(fagin_input, "fagin-input",
-                     [](const DetectionParams& p) {
-                       return std::make_unique<FaginInputDetector>(p);
-                     });
 
 }  // namespace copydetect

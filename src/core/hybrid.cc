@@ -1,7 +1,5 @@
 #include "core/hybrid.h"
 
-#include "core/detector_registry.h"
-
 namespace copydetect {
 
 Status HybridDetector::DetectRound(const DetectionInput& in, int round,
@@ -26,9 +24,5 @@ Status HybridDetector::DetectWithBookkeeping(const DetectionInput& in,
   last_index_seconds_ = extras.index_seconds;
   return st;
 }
-
-CD_REGISTER_DETECTOR(hybrid, "hybrid", [](const DetectionParams& p) {
-  return std::make_unique<HybridDetector>(p);
-});
 
 }  // namespace copydetect

@@ -1,7 +1,5 @@
 #include "core/index_algo.h"
 
-#include "core/detector_registry.h"
-
 #include "common/arena.h"
 #include "common/executor.h"
 #include "core/bayes.h"
@@ -92,40 +90,26 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
 
 }  // namespace
 
-Status IndexScan(const DetectionInput& in, const DetectionParams& params,
-                 EntryOrdering ordering, uint64_t seed,
-                 Executor* executor, const OverlapCounts& overlaps,
-                 Counters* counters, CopyResult* out,
-                 double* index_seconds) {
-  CD_RETURN_IF_ERROR(in.Validate());
-  out->Clear();
-
-  auto index_or = InvertedIndex::Build(in, params, ordering, seed);
-  if (!index_or.ok()) return index_or.status();
-  const InvertedIndex& index = *index_or;
-  if (index_seconds != nullptr) *index_seconds = index.build_seconds();
-  const std::vector<double>& accs = *in.accuracies;
-
-  RunShardedScan(executor, counters, out,
-                 [&](size_t shard, size_t num_shards, Counters* c,
-                     CopyResult* o, Arena* arena) {
-                   ScanShard(index, accs, params, overlaps, shard,
-                             num_shards, c, o, arena);
-                 });
-  return Status::OK();
-}
-
 Status IndexDetector::DetectRound(const DetectionInput& in, int round,
                                   CopyResult* out) {
   (void)round;
   CD_RETURN_IF_ERROR(in.Validate());
+  out->Clear();
   const OverlapCounts& overlaps = overlap_cache_.Get(*in.data);
-  return IndexScan(in, params_, ordering_, seed_, params_.executor,
-                   overlaps, &counters_, out, &last_index_seconds_);
-}
 
-CD_REGISTER_DETECTOR(index, "index", [](const DetectionParams& p) {
-  return std::make_unique<IndexDetector>(p);
-});
+  auto index_or = InvertedIndex::Build(in, params_, ordering_, seed_);
+  if (!index_or.ok()) return index_or.status();
+  const InvertedIndex& index = *index_or;
+  last_index_seconds_ = index.build_seconds();
+  const std::vector<double>& accs = *in.accuracies;
+
+  RunShardedScan(params_.executor, &counters_, out,
+                 [&](size_t shard, size_t num_shards, Counters* c,
+                     CopyResult* o, Arena* arena) {
+                   ScanShard(index, accs, params_, overlaps, shard,
+                             num_shards, c, o, arena);
+                 });
+  return Status::OK();
+}
 
 }  // namespace copydetect

@@ -7,31 +7,18 @@
 
 namespace copydetect {
 
-class Executor;
-
-/// One full INDEX round (§III), shared by IndexDetector and
-/// ParallelIndexDetector: builds the inverted index, scans it, and
-/// finalizes with the different-value penalty. When `executor` runs
-/// more than one thread the scan shards *by pair ownership*
-/// (Mix64(PairKey) mod shard count): every worker walks the whole
-/// entry stream in rank order but accumulates only the pairs it owns,
-/// so each pair's floating-point sums are formed in exactly the
-/// sequential order and the result is bit-identical to the serial scan
-/// at every thread count. `index_seconds` (optional) receives the
-/// index build time.
-Status IndexScan(const DetectionInput& in, const DetectionParams& params,
-                 EntryOrdering ordering, uint64_t seed,
-                 Executor* executor, const OverlapCounts& overlaps,
-                 Counters* counters, CopyResult* out,
-                 double* index_seconds);
-
 /// The INDEX algorithm (§III): scan the inverted index in decreasing
 /// score order, create pair state only for pairs co-occurring in a
 /// head (non-tail) entry, accumulate exact contributions for every
 /// shared value, and finalize with the different-value penalty
 /// ln(1-s)·(l - n). Produces the same binary decisions as PAIRWISE
 /// (Prop. 3.5) while skipping pairs that share nothing or only tail
-/// values.
+/// values. When DetectionParams::executor runs more than one thread
+/// the scan shards *by pair ownership* (Mix64(PairKey) mod shard
+/// count): every worker walks the whole entry stream in rank order but
+/// accumulates only the pairs it owns, so each pair's floating-point
+/// sums are formed in exactly the sequential order and the result is
+/// bit-identical to the serial scan at every thread count.
 class IndexDetector : public CopyDetector {
  public:
   explicit IndexDetector(const DetectionParams& params,

@@ -1,6 +1,7 @@
 #include "eval/experiment.h"
 
 #include "common/timer.h"
+#include "core/detector_registry.h"
 #include "datagen/motivating_example.h"
 
 namespace copydetect {
@@ -21,11 +22,12 @@ double DefaultSamplingRate(const std::string& dataset_name) {
   return dataset_name == "stock-2wk" ? 0.01 : 0.1;
 }
 
-StatusOr<RunOutcome> RunFusion(const World& world, DetectorKind kind,
+StatusOr<RunOutcome> RunFusion(const World& world,
+                               std::string_view detector,
                                const FusionOptions& options) {
-  std::unique_ptr<CopyDetector> detector =
-      MakeDetector(kind, options.params);
-  return RunFusionWithDetector(world, detector.get(), options);
+  auto made = DetectorRegistry::Global().Create(detector, options.params);
+  if (!made.ok()) return made.status();
+  return RunFusionWithDetector(world, made->get(), options);
 }
 
 StatusOr<RunOutcome> RunFusionWithDetector(const World& world,
@@ -47,15 +49,16 @@ StatusOr<RunOutcome> RunFusionWithDetector(const World& world,
 }
 
 std::unique_ptr<CopyDetector> MakeSampledDetector(
-    const DetectionParams& params, DetectorKind base,
+    const DetectionParams& params, std::string_view base,
     SamplingMethod method, double rate, uint64_t seed) {
+  auto inner = DetectorRegistry::Global().Create(base, params);
+  CD_CHECK_OK(inner.status());
   SampleSpec spec;
   spec.method = method;
   spec.rate = rate;
   spec.seed = seed;
-  return std::make_unique<SampledDetector>(params,
-                                           MakeDetector(base, params),
-                                           spec);
+  return std::make_unique<SampledDetector>(
+      params, std::move(inner).value(), spec);
 }
 
 }  // namespace copydetect

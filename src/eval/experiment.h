@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sampling.h"
@@ -30,20 +31,23 @@ struct RunOutcome {
   double seconds = 0.0;  ///< fusion total (detection + aggregation)
 };
 
-/// Runs iterative fusion with a freshly made detector of `kind`.
-StatusOr<RunOutcome> RunFusion(const World& world, DetectorKind kind,
+/// Runs iterative fusion with a fresh detector made by registry name
+/// (see ListDetectors()). NotFound for an unknown name.
+StatusOr<RunOutcome> RunFusion(const World& world,
+                               std::string_view detector,
                                const FusionOptions& options);
 
 /// Runs iterative fusion with a caller-provided detector (sampling
-/// wrappers, custom orderings, the parallel extension, ...).
+/// wrappers, custom orderings, private executors, ...).
 StatusOr<RunOutcome> RunFusionWithDetector(const World& world,
                                            CopyDetector* detector,
                                            const FusionOptions& options);
 
-/// Convenience: wraps `base` in a SampledDetector with the named
-/// method and rate.
+/// Convenience: wraps the detector registered as `base` in a
+/// SampledDetector with the named method and rate. Dies on an unknown
+/// name: callers pass one of the built-in names.
 std::unique_ptr<CopyDetector> MakeSampledDetector(
-    const DetectionParams& params, DetectorKind base,
+    const DetectionParams& params, std::string_view base,
     SamplingMethod method, double rate, uint64_t seed = 42);
 
 }  // namespace copydetect

@@ -34,11 +34,11 @@ FusionOptions ScenarioFusionOptions(const Scenario& scenario,
 }
 
 StatusOr<ScenarioResult> EvaluateScenario(const Scenario& scenario,
-                                          DetectorKind kind,
+                                          std::string_view detector,
                                           const FusionOptions* options) {
   const FusionOptions resolved =
       options != nullptr ? *options : ScenarioFusionOptions(scenario);
-  auto outcome = RunFusion(scenario.world, kind, resolved);
+  auto outcome = RunFusion(scenario.world, detector, resolved);
   if (!outcome.ok()) return outcome.status();
   ScenarioResult result;
   result.scenario = scenario.name;

@@ -47,10 +47,11 @@ PrfScores ScoreCopyPairs(
 FusionOptions ScenarioFusionOptions(const Scenario& scenario,
                                     int max_rounds = 8);
 
-/// Runs fusion with `kind` on the scenario's final world and scores
-/// it. Uses ScenarioFusionOptions defaults when `options` is null.
+/// Runs fusion with the detector registered as `detector` on the
+/// scenario's final world and scores it. Uses ScenarioFusionOptions
+/// defaults when `options` is null.
 StatusOr<ScenarioResult> EvaluateScenario(const Scenario& scenario,
-                                          DetectorKind kind,
+                                          std::string_view detector,
                                           const FusionOptions* options =
                                               nullptr);
 

@@ -39,7 +39,7 @@ TEST(RunFusion, SmokeOnSmallWorld) {
   FusionOptions options;
   options.params = testutil::PaperParams();
   options.max_rounds = 6;
-  auto outcome = RunFusion(world, DetectorKind::kHybrid, options);
+  auto outcome = RunFusion(world, "hybrid", options);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->detector_name, "hybrid");
   EXPECT_GT(outcome->counters.Total(), 0u);
@@ -52,7 +52,7 @@ TEST(RunFusion, DetectorsFindPlantedCopiers) {
   FusionOptions options;
   options.params = testutil::PaperParams();
   options.max_rounds = 6;
-  auto outcome = RunFusion(world, DetectorKind::kPairwise, options);
+  auto outcome = RunFusion(world, "pairwise", options);
   ASSERT_TRUE(outcome.ok());
   PrfScores prf =
       ComparePairsToTruth(outcome->fusion.copies, world.copy_pairs);
@@ -61,7 +61,7 @@ TEST(RunFusion, DetectorsFindPlantedCopiers) {
 
 TEST(MakeSampledDetector, WrapsBase) {
   auto detector = MakeSampledDetector(testutil::PaperParams(),
-                                      DetectorKind::kIncremental,
+                                      "incremental",
                                       SamplingMethod::kScaleSample, 0.1);
   ASSERT_NE(detector, nullptr);
   EXPECT_EQ(detector->name(), "scale-sample(incremental)");
@@ -80,21 +80,14 @@ TEST(TextTable, RendersAligned) {
   EXPECT_EQ(table.num_rows(), 2u);
 }
 
-TEST(DetectorKinds, NamesRoundTrip) {
-  for (DetectorKind kind :
-       {DetectorKind::kPairwise, DetectorKind::kIndex,
-        DetectorKind::kBound, DetectorKind::kBoundPlus,
-        DetectorKind::kHybrid, DetectorKind::kIncremental,
-        DetectorKind::kFaginInput, DetectorKind::kParallelIndex}) {
-    DetectorKind parsed;
-    ASSERT_TRUE(ParseDetectorKind(DetectorKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-    auto detector = MakeDetector(kind, testutil::PaperParams());
-    ASSERT_NE(detector, nullptr);
-    EXPECT_EQ(detector->name(), DetectorKindName(kind));
-  }
-  DetectorKind parsed;
-  EXPECT_FALSE(ParseDetectorKind("bogus", &parsed));
+TEST(RunFusion, UnknownDetectorNameIsNotFound) {
+  auto world = MakeWorldByName("example", 1.0, 1);
+  ASSERT_TRUE(world.ok());
+  FusionOptions options;
+  options.params = testutil::PaperParams();
+  auto outcome = RunFusion(*world, "bogus", options);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

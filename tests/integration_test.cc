@@ -21,7 +21,7 @@ class PipelineTest : public ::testing::Test {
     options.max_rounds = 8;
     options_ = new FusionOptions(options);
 
-    auto pairwise = RunFusion(*world_, DetectorKind::kPairwise, options);
+    auto pairwise = RunFusion(*world_, "pairwise", options);
     ASSERT_TRUE(pairwise.ok());
     pairwise_ = new RunOutcome(std::move(pairwise).value());
   }
@@ -54,7 +54,7 @@ TEST_F(PipelineTest, PairwiseFindsPlantedCopiers) {
 }
 
 TEST_F(PipelineTest, IndexMatchesPairwiseExactly) {
-  auto outcome = RunFusion(*world_, DetectorKind::kIndex, *options_);
+  auto outcome = RunFusion(*world_, "index", *options_);
   ASSERT_TRUE(outcome.ok());
   PrfScores prf = ComparePairs(outcome->fusion.copies,
                                pairwise_->fusion.copies);
@@ -66,7 +66,7 @@ TEST_F(PipelineTest, IndexMatchesPairwiseExactly) {
 }
 
 TEST_F(PipelineTest, HybridCloseToPairwise) {
-  auto outcome = RunFusion(*world_, DetectorKind::kHybrid, *options_);
+  auto outcome = RunFusion(*world_, "hybrid", *options_);
   ASSERT_TRUE(outcome.ok());
   PrfScores prf = ComparePairs(outcome->fusion.copies,
                                pairwise_->fusion.copies);
@@ -78,8 +78,8 @@ TEST_F(PipelineTest, HybridCloseToPairwise) {
 
 TEST_F(PipelineTest, IncrementalCloseToPairwiseAndCheaperThanHybrid) {
   auto incremental =
-      RunFusion(*world_, DetectorKind::kIncremental, *options_);
-  auto hybrid = RunFusion(*world_, DetectorKind::kHybrid, *options_);
+      RunFusion(*world_, "incremental", *options_);
+  auto hybrid = RunFusion(*world_, "hybrid", *options_);
   ASSERT_TRUE(incremental.ok());
   ASSERT_TRUE(hybrid.ok());
   PrfScores prf = ComparePairs(incremental->fusion.copies,
@@ -91,7 +91,7 @@ TEST_F(PipelineTest, IncrementalCloseToPairwiseAndCheaperThanHybrid) {
 
 TEST_F(PipelineTest, ScaleSampleStillFindsCopiers) {
   auto detector = MakeSampledDetector(options_->params,
-                                      DetectorKind::kIncremental,
+                                      "incremental",
                                       SamplingMethod::kScaleSample, 0.1);
   auto outcome = RunFusionWithDetector(*world_, detector.get(),
                                        *options_);

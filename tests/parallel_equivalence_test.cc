@@ -1,11 +1,12 @@
 // Parallel/sequential equivalence of the executor-backed scan paths.
 //
-// The parallel paths shard by pair ownership (see IndexScan and
+// The parallel paths shard by pair ownership (see IndexDetector and
 // BoundedScan), which keeps every pair's floating-point accumulation
 // in exact sequential order — so the contract is *bit-identical*
 // CopyResults, not approximate agreement, at every thread count
 // including the degenerate "more threads than index entries" case.
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,8 +14,6 @@
 #include "common/executor.h"
 #include "core/detector.h"
 #include "core/detector_registry.h"
-#include "core/index_algo.h"
-#include "core/parallel_index.h"
 #include "fusion/truth_finder.h"
 #include "simjoin/intersect.h"
 #include "test_util.h"
@@ -41,18 +40,26 @@ void ExpectBitIdentical(const CopyResult& got, const CopyResult& want) {
   EXPECT_EQ(checked, want.NumTracked());
 }
 
-/// Runs `kind` serially and with an executor of `threads` workers and
-/// compares results and work counters.
-void CheckDetectorEquivalence(DetectorKind kind, const DetectionInput& in,
-                              size_t threads) {
-  auto serial = MakeDetector(kind, PaperParams());
+/// A built-in detector by registry name; aborts on an unknown name.
+std::unique_ptr<CopyDetector> Make(std::string_view name,
+                                   const DetectionParams& params) {
+  auto made = DetectorRegistry::Global().Create(name, params);
+  CD_CHECK_OK(made.status());
+  return std::move(made).value();
+}
+
+/// Runs `detector` serially and with an executor of `threads` workers
+/// and compares results and work counters.
+void CheckDetectorEquivalence(std::string_view detector,
+                              const DetectionInput& in, size_t threads) {
+  auto serial = Make(detector, PaperParams());
   CopyResult want;
   ASSERT_TRUE(serial->DetectRound(in, 1, &want).ok());
 
   Executor executor(threads);
   DetectionParams params = PaperParams();
   params.executor = &executor;
-  auto parallel = MakeDetector(kind, params);
+  auto parallel = Make(detector, params);
   CopyResult got;
   ASSERT_TRUE(parallel->DetectRound(in, 1, &got).ok());
 
@@ -78,44 +85,29 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
 TEST_P(ParallelEquivalenceTest, IndexBitIdentical) {
   testutil::World world = testutil::SmallWorld(601, 40, 300);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kIndex, wi.Input(world),
+  CheckDetectorEquivalence("index", wi.Input(world),
                            GetParam());
 }
 
 TEST_P(ParallelEquivalenceTest, PairwiseBitIdentical) {
   testutil::World world = testutil::SmallWorld(602, 35, 250);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kPairwise, wi.Input(world),
+  CheckDetectorEquivalence("pairwise", wi.Input(world),
                            GetParam());
 }
 
 TEST_P(ParallelEquivalenceTest, HybridBitIdentical) {
   testutil::World world = testutil::SmallWorld(603, 40, 300);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kHybrid, wi.Input(world),
+  CheckDetectorEquivalence("hybrid", wi.Input(world),
                            GetParam());
 }
 
 TEST_P(ParallelEquivalenceTest, BoundPlusBitIdentical) {
   testutil::World world = testutil::SmallWorld(604, 35, 250);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kBoundPlus, wi.Input(world),
+  CheckDetectorEquivalence("boundplus", wi.Input(world),
                            GetParam());
-}
-
-TEST_P(ParallelEquivalenceTest, ParallelIndexMatchesSequentialIndex) {
-  testutil::World world = testutil::SmallWorld(605, 40, 300);
-  testutil::WorldInput wi(world);
-  DetectionInput in = wi.Input(world);
-
-  IndexDetector sequential(PaperParams());
-  CopyResult want;
-  ASSERT_TRUE(sequential.DetectRound(in, 1, &want).ok());
-
-  ParallelIndexDetector parallel(PaperParams(), GetParam());
-  CopyResult got;
-  ASSERT_TRUE(parallel.DetectRound(in, 1, &got).ok());
-  ExpectBitIdentical(got, want);
 }
 
 TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
@@ -127,8 +119,7 @@ TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
   FusionOptions serial_options;
   serial_options.params = PaperParams();
   serial_options.max_rounds = 4;
-  auto serial_detector =
-      MakeDetector(DetectorKind::kHybrid, serial_options.params);
+  auto serial_detector = Make("hybrid", serial_options.params);
   auto want =
       IterativeFusion(serial_options).Run(world.data, serial_detector.get());
   ASSERT_TRUE(want.ok());
@@ -136,7 +127,7 @@ TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
   Executor executor(GetParam());
   FusionOptions options = serial_options;
   options.params.executor = &executor;
-  auto detector = MakeDetector(DetectorKind::kHybrid, options.params);
+  auto detector = Make("hybrid", options.params);
   auto got = IterativeFusion(options).Run(world.data, detector.get());
   ASSERT_TRUE(got.ok());
 
@@ -149,8 +140,8 @@ TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
 }
 
 TEST(ParallelEquivalence, EveryRegisteredDetectorBitIdenticalAtFourThreads) {
-  // Registry-driven: a detector added by one CD_REGISTER_DETECTOR
-  // stanza is covered here with no test change. Serial vs 1-thread
+  // Registry-driven: a detector added by one row of the registry
+  // table is covered here with no test change. Serial vs 1-thread
   // executor vs 4-thread executor, all bit-identical.
   testutil::World world = testutil::SmallWorld(607, 40, 300);
   testutil::WorldInput wi(world);
@@ -224,10 +215,8 @@ TEST(ParallelEquivalence, MoreThreadsThanEntriesDegenerateCase) {
   // The running example has only a handful of index entries; a 64-way
   // executor leaves most shards empty and must still be exact.
   testutil::ExampleFixture fx;
-  for (DetectorKind kind :
-       {DetectorKind::kPairwise, DetectorKind::kIndex,
-        DetectorKind::kHybrid}) {
-    CheckDetectorEquivalence(kind, fx.Input(), 64);
+  for (const char* detector : {"pairwise", "index", "hybrid"}) {
+    CheckDetectorEquivalence(detector, fx.Input(), 64);
   }
 }
 

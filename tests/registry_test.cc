@@ -1,6 +1,5 @@
-// DetectorRegistry: self-registration of the built-in detectors,
-// alias resolution, duplicate rejection, and the compatibility of the
-// legacy DetectorKind layer with the registry.
+// DetectorRegistry: the built-in detector table, alias resolution and
+// the unknown-name error.
 #include "core/detector_registry.h"
 
 #include <gtest/gtest.h>
@@ -8,16 +7,16 @@
 #include <algorithm>
 #include <memory>
 
-#include "core/pairwise.h"
+#include "copydetect/session.h"
+#include "test_util.h"
 
 namespace copydetect {
 namespace {
 
-// The satellite list of the API redesign: every built-in must be
-// registered under exactly this canonical spelling.
+// Every built-in must be listed under exactly this canonical spelling.
 const char* const kBuiltins[] = {
-    "pairwise",    "index",       "bound",          "boundplus",
-    "hybrid",      "incremental", "parallel-index", "fagin-input",
+    "pairwise", "index",       "bound",       "boundplus",
+    "hybrid",   "incremental", "fagin-input",
 };
 
 TEST(DetectorRegistry, EveryBuiltinResolvesAndRoundTripsName) {
@@ -25,6 +24,7 @@ TEST(DetectorRegistry, EveryBuiltinResolvesAndRoundTripsName) {
   for (const char* name : kBuiltins) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(DetectorRegistry::Global().Contains(name));
+    EXPECT_EQ(DetectorRegistry::Global().Resolve(name), name);
     auto detector = DetectorRegistry::Global().Create(name, params);
     ASSERT_TRUE(detector.ok()) << detector.status().ToString();
     ASSERT_NE(*detector, nullptr);
@@ -40,54 +40,56 @@ TEST(DetectorRegistry, ListDetectorsIsSortedCanonicalSet) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << name;
   }
-  // Aliases are accepted for lookup but never listed.
-  EXPECT_EQ(std::find(names.begin(), names.end(), "bound+"),
-            names.end());
 }
 
-TEST(DetectorRegistry, LegacyBoundPlusAliasResolves) {
-  EXPECT_TRUE(DetectorRegistry::Global().Contains("bound+"));
-  EXPECT_EQ(DetectorRegistry::Global().Resolve("bound+"), "boundplus");
-  auto detector =
-      DetectorRegistry::Global().Create("bound+", DetectionParams());
-  ASSERT_TRUE(detector.ok());
-  EXPECT_EQ((*detector)->name(), "boundplus");
-}
-
-TEST(DetectorRegistry, DuplicateNameIsRejected) {
-  auto factory = [](const DetectionParams& p) {
-    return std::unique_ptr<CopyDetector>(
-        std::make_unique<PairwiseDetector>(p));
+// Each alias builds its canonical detector, is never listed, and a
+// Session opened under it runs — and reports — as the canonical
+// detector, bit for bit.
+TEST(DetectorRegistry, AliasesResolveToCanonical) {
+  struct Alias {
+    const char* alias;
+    const char* canonical;
   };
-  Status dup = DetectorRegistry::Global().Register("pairwise", factory);
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
-  // Colliding via an alias is rejected just the same, and the failed
-  // registration must not leak the fresh name into the registry.
-  Status alias_dup = DetectorRegistry::Global().Register(
-      "fresh-detector", factory, {"boundplus"});
-  EXPECT_EQ(alias_dup.code(), StatusCode::kAlreadyExists);
-  EXPECT_FALSE(DetectorRegistry::Global().Contains("fresh-detector"));
-}
+  const Alias kAliases[] = {{"bound+", "boundplus"},
+                            {"parallel-index", "index"}};
+  const std::vector<std::string> listed = ListDetectors();
+  testutil::World world = testutil::SmallWorld(609, 30, 200);
+  for (const Alias& a : kAliases) {
+    SCOPED_TRACE(a.alias);
+    EXPECT_TRUE(DetectorRegistry::Global().Contains(a.alias));
+    EXPECT_EQ(DetectorRegistry::Global().Resolve(a.alias), a.canonical);
+    EXPECT_EQ(std::find(listed.begin(), listed.end(), a.alias),
+              listed.end());
+    auto detector =
+        DetectorRegistry::Global().Create(a.alias, DetectionParams());
+    ASSERT_TRUE(detector.ok());
+    EXPECT_EQ((*detector)->name(), a.canonical);
 
-TEST(DetectorRegistry, LocalInstanceRegistersAndCreates) {
-  DetectorRegistry registry;
-  EXPECT_TRUE(registry.Names().empty());
-  Status st = registry.Register(
-      "mine",
-      [](const DetectionParams& p) {
-        return std::unique_ptr<CopyDetector>(
-            std::make_unique<PairwiseDetector>(p));
-      },
-      {"alias"});
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(registry.Names(), std::vector<std::string>{"mine"});
-  EXPECT_EQ(registry.Resolve("alias"), "mine");
-  auto made = registry.Create("alias", DetectionParams());
-  ASSERT_TRUE(made.ok());
-  EXPECT_EQ((*made)->name(), "pairwise");
+    auto run = [&](const char* name) {
+      SessionOptions options;
+      options.detector = name;
+      options.threads = 4;
+      auto session = Session::Create(options);
+      CD_CHECK_OK(session.status());
+      auto report = session->Run(world.data);
+      CD_CHECK_OK(report.status());
+      return std::move(report).value();
+    };
+    Report via_alias = run(a.alias);
+    Report direct = run(a.canonical);
+    EXPECT_EQ(via_alias.detector, a.canonical);
+    EXPECT_EQ(via_alias.fusion.rounds, direct.fusion.rounds);
+    EXPECT_EQ(via_alias.fusion.value_probs, direct.fusion.value_probs);
+    EXPECT_EQ(via_alias.fusion.accuracies, direct.fusion.accuracies);
+    EXPECT_EQ(via_alias.fusion.truth, direct.fusion.truth);
+    EXPECT_EQ(via_alias.counters.Total(), direct.counters.Total());
+    EXPECT_EQ(via_alias.ToJson(world.data), direct.ToJson(world.data));
+  }
 }
 
 TEST(DetectorRegistry, UnknownNameErrorListsRegistry) {
+  EXPECT_FALSE(DetectorRegistry::Global().Contains("typo"));
+  EXPECT_EQ(DetectorRegistry::Global().Resolve("typo"), "");
   auto made =
       DetectorRegistry::Global().Create("typo", DetectionParams());
   ASSERT_FALSE(made.ok());
@@ -98,46 +100,6 @@ TEST(DetectorRegistry, UnknownNameErrorListsRegistry) {
     EXPECT_NE(made.status().message().find(name), std::string::npos)
         << name;
   }
-}
-
-TEST(DetectorRegistry, EmptyOrNullRegistrationsRejected) {
-  DetectorRegistry registry;
-  EXPECT_EQ(registry
-                .Register("",
-                          [](const DetectionParams& p) {
-                            return std::unique_ptr<CopyDetector>(
-                                std::make_unique<PairwiseDetector>(p));
-                          })
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Register("x", nullptr).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(DetectorKindCompat, KindNamesMatchRegistryAndParseBack) {
-  static constexpr DetectorKind kAll[] = {
-      DetectorKind::kPairwise,   DetectorKind::kIndex,
-      DetectorKind::kBound,      DetectorKind::kBoundPlus,
-      DetectorKind::kHybrid,     DetectorKind::kIncremental,
-      DetectorKind::kFaginInput, DetectorKind::kParallelIndex,
-  };
-  DetectionParams params;
-  for (DetectorKind kind : kAll) {
-    std::string name(DetectorKindName(kind));
-    SCOPED_TRACE(name);
-    EXPECT_TRUE(DetectorRegistry::Global().Contains(name));
-    DetectorKind parsed;
-    ASSERT_TRUE(ParseDetectorKind(name, &parsed));
-    EXPECT_EQ(parsed, kind);
-    // MakeDetector is a thin shim over the registry now.
-    auto made = MakeDetector(kind, params);
-    ASSERT_NE(made, nullptr);
-    EXPECT_EQ(made->name(), name);
-  }
-  DetectorKind parsed;
-  EXPECT_TRUE(ParseDetectorKind("bound+", &parsed));
-  EXPECT_EQ(parsed, DetectorKind::kBoundPlus);
-  EXPECT_FALSE(ParseDetectorKind("nope", &parsed));
 }
 
 }  // namespace

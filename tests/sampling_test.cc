@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hybrid.h"
+#include "core/index_algo.h"
 #include "test_util.h"
 
 namespace copydetect {
@@ -114,8 +115,7 @@ TEST(SampledDetector, ProducesReasonablePairsOnStockLikeData) {
   spec.method = SamplingMethod::kScaleSample;
   spec.rate = 0.3;
   SampledDetector sampled(PaperParams(),
-                          MakeDetector(DetectorKind::kHybrid,
-                                       PaperParams()),
+                          std::make_unique<HybridDetector>(PaperParams()),
                           spec);
   HybridDetector full(PaperParams());
   CopyResult sampled_result;
@@ -144,8 +144,7 @@ TEST(SampledDetector, ReusesSampleAcrossRounds) {
   spec.method = SamplingMethod::kByItem;
   spec.rate = 0.5;
   SampledDetector detector(PaperParams(),
-                           MakeDetector(DetectorKind::kIndex,
-                                        PaperParams()),
+                           std::make_unique<IndexDetector>(PaperParams()),
                            spec);
   CopyResult r1;
   CopyResult r2;

@@ -211,9 +211,7 @@ TEST_P(ScenarioQuality, MeetsFloor) {
   const auto& [scenario_name, detector_name] = GetParam();
   auto scenario = MakeScenario(scenario_name, kScale, kSeed);
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-  DetectorKind kind;
-  ASSERT_TRUE(ParseDetectorKind(detector_name, &kind));
-  auto result = EvaluateScenario(*scenario, kind);
+  auto result = EvaluateScenario(*scenario, detector_name);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   const QualityFloor floor = FloorFor(scenario_name);

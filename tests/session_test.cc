@@ -281,7 +281,7 @@ TEST(SessionEquivalence, SampledSessionMatchesSampledDetector) {
   // Pre-facade sampled wiring (what book_aggregator used to build).
   FusionOptions fusion_options = options.ToFusionOptions();
   auto sampled = MakeSampledDetector(
-      fusion_options.params, DetectorKind::kIncremental,
+      fusion_options.params, "incremental",
       SamplingMethod::kScaleSample, 0.3, 11);
   auto outcome =
       RunFusionWithDetector(*world, sampled.get(), fusion_options);
