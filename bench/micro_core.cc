@@ -306,6 +306,12 @@ void DetectorRoundLoop(benchmark::State& state, const WorldInputs& inputs,
   CopyResult result;
   for (auto _ : state) {
     (*detector)->Reset();
+    // A round-1 detection includes counting the overlaps it reads.
+    OverlapCounts overlaps;
+    if ((*detector)->reads_overlaps()) {
+      overlaps = ComputeOverlaps(*in.data);
+      in.overlaps = &overlaps;
+    }
     Status status = (*detector)->DetectRound(in, /*round=*/1, &result);
     if (!status.ok()) {
       state.SkipWithError(status.message().c_str());
@@ -618,6 +624,8 @@ void BM_ShardedDetectBookCs(benchmark::State& state) {
   CopyResult result;
   for (auto _ : state) {
     (*detector)->Reset();
+    OverlapCounts overlaps = ComputeOverlaps(*in.data);
+    in.overlaps = &overlaps;
     Status status = (*detector)->DetectRound(in, /*round=*/1, &result);
     if (!status.ok()) {
       state.SkipWithError(status.message().c_str());

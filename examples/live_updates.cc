@@ -6,8 +6,8 @@
 // feeds. Day 0 runs full detection; every following day one or two
 // feeds re-publish a slice of their symbols through a DatasetDelta and
 // Session::Update refreshes the report: the snapshot is spliced by
-// Dataset::Apply, overlap counts are patched per touched item, and
-// detection + fusion re-run on the new snapshot. The refreshed report
+// Dataset::Apply and detection + fusion re-run cold on the new
+// snapshot. The refreshed report
 // is bit-identical to rebuilding the data set and re-running from
 // scratch — the demo proves it against exactly that rebuild each day.
 //
@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
                   .c_str());
   std::printf(
       "Every day's update produced the same truth, accuracies and "
-      "copy graph as a full rebuild — it just skipped the work a "
-      "small delta provably cannot change.\n");
+      "copy graph as a full rebuild.\n");
   return 0;
 }

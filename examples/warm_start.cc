@@ -12,7 +12,7 @@
 //     immediately, no re-run — and verifies it matches the live
 //     session bit for bit;
 //  3. today's process then applies a fresh feed through
-//     Session::Update, proving a loaded session continues incremental
+//     Session::Update, proving a loaded session continues online
 //     serving just like one that never left memory.
 //
 //   ./warm_start [--scale=0.1] [--seed=42]
@@ -110,10 +110,8 @@ int main(int argc, char** argv) {
   CheckSameReport(restored->report(), live->report(),
                   "post-update report");
   const UpdateStats& stats = restored->last_update_stats();
-  std::printf("update on the loaded session: %s path, %zu items "
-              "touched, report identical to the never-persisted "
-              "session\n",
-              stats.incremental ? "incremental" : "full-rerun",
+  std::printf("update on the loaded session: %zu items touched, report "
+              "identical to the never-persisted session\n",
               stats.touched_items);
 
   std::remove(path.c_str());

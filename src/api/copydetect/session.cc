@@ -27,70 +27,6 @@ void Require(bool ok, std::vector<std::string>* problems,
 
 }  // namespace
 
-/// The overlap counts an online-updates session maintains across
-/// deltas. They are published through SharedOverlaps, so every
-/// detector's private OverlapCache borrows them instead of recounting.
-class SessionOverlaps {
- public:
-  SessionOverlaps() = default;
-  SessionOverlaps(const SessionOverlaps&) = delete;
-  SessionOverlaps& operator=(const SessionOverlaps&) = delete;
-
-  ~SessionOverlaps() {
-    if (generation_ != 0) SharedOverlaps::Withdraw(generation_);
-  }
-
-  /// Publishes counts for `data`, computing them cold when the
-  /// maintained ones belong to another generation.
-  void Ensure(const Dataset& data) {
-    if (HasFor(data.generation())) return;
-    Install(std::make_shared<const OverlapCounts>(ComputeOverlaps(data)),
-            data.generation());
-  }
-
-  /// Steps the maintained counts across a delta. Returns true when
-  /// they were patched per touched item, false when they had to be
-  /// recounted (either way the new snapshot's counts end up
-  /// published).
-  bool Advance(const Dataset& old_data, const Dataset& new_data,
-               const DeltaSummary& summary, bool allow_incremental) {
-    std::shared_ptr<const OverlapCounts> next;
-    if (allow_incremental && HasFor(old_data.generation())) {
-      auto patched = std::make_shared<OverlapCounts>(*counts_);
-      if (UpdateOverlaps(patched.get(), old_data, new_data,
-                         summary.touched_items)) {
-        next = std::move(patched);
-      }
-    }
-    const bool incremental = next != nullptr;
-    if (!incremental) {
-      next = std::make_shared<const OverlapCounts>(
-          ComputeOverlaps(new_data));
-    }
-    Install(std::move(next), new_data.generation());
-    return incremental;
-  }
-
-  /// True when the maintained counts are live for `generation`.
-  bool HasFor(uint64_t generation) const {
-    return counts_ != nullptr && generation_ == generation;
-  }
-  const OverlapCounts& counts() const { return *counts_; }
-
-  /// Adopts `counts` as the maintained+published ones.
-  void Install(std::shared_ptr<const OverlapCounts> counts,
-               uint64_t generation) {
-    if (generation_ != 0) SharedOverlaps::Withdraw(generation_);
-    counts_ = std::move(counts);
-    generation_ = generation;
-    SharedOverlaps::Publish(generation_, counts_);
-  }
-
- private:
-  std::shared_ptr<const OverlapCounts> counts_;
-  uint64_t generation_ = 0;
-};
-
 Status SessionOptions::Validate() const {
   std::vector<std::string> problems;
   // Model-parameter ranges, mirroring DetectionParams::Validate() (the
@@ -217,16 +153,8 @@ StatusOr<Session> Session::Create(const SessionOptions& options) {
           params, std::move(detector), spec);
     }
   }
-  Session session(options, std::move(name), std::move(executor),
-                  std::move(detector));
-  // Maintained overlaps only pay off with an unsampled detector that
-  // reads them: a SampledDetector counts on its own sub-snapshot,
-  // accuracy-only runs detect nothing, and PAIRWISE never reads them.
-  if (session.MaintainsUpdateState() &&
-      session.detector_name_ != "pairwise") {
-    session.overlaps_ = std::make_unique<SessionOverlaps>();
-  }
-  return session;
+  return Session(options, std::move(name), std::move(executor),
+                 std::move(detector));
 }
 
 size_t Session::threads() const { return executor_->num_threads(); }
@@ -241,8 +169,8 @@ Status Session::Start(const Dataset& data) {
   if (options_.online_updates) {
     // Own the snapshot: Update chains deltas off it without imposing
     // lifetime rules on the caller's object. The copy shares the
-    // generation (identical content), so published overlap counts
-    // apply to both.
+    // generation (identical content), so overlap counts the session
+    // already holds for it stay valid.
     snapshot_ = std::make_unique<Dataset>(data);
     return StartOn(*snapshot_);
   }
@@ -267,8 +195,12 @@ Status Session::StartOn(const Dataset& data) {
   loop_ = std::make_unique<FusionLoop>(fusion);
   data_ = &data;
   report_ = Report();
-  if (overlaps_ != nullptr) overlaps_->Ensure(data);
-  return loop_->Start(data, detector_.get());
+  if (!KeepsOverlaps()) return loop_->Start(data, detector_.get());
+  if (overlaps_ == nullptr || overlaps_generation_ != data.generation()) {
+    overlaps_ = std::make_unique<const OverlapCounts>(ComputeOverlaps(data));
+    overlaps_generation_ = data.generation();
+  }
+  return loop_->Start(data, detector_.get(), overlaps_.get());
 }
 
 StatusOr<bool> Session::Step() {
@@ -710,8 +642,8 @@ Status Session::Save(const std::string& path) {
   state.options = fields;
   state.data = data;
   state.fusion = &fusion;
-  if (overlaps_ != nullptr && overlaps_->HasFor(state.generation)) {
-    state.overlaps = &overlaps_->counts();
+  if (overlaps_ != nullptr && overlaps_generation_ == state.generation) {
+    state.overlaps = overlaps_.get();
     state.overlaps_generation = state.generation;
   }
   return snapshot::Write(path, state);
@@ -740,10 +672,10 @@ Status Session::InstallLoaded(snapshot::SessionState state) {
   data_ = snapshot_.get();
   report_ = Report();
   report_.fusion = std::move(state.fusion);
-  if (overlaps_ != nullptr && state.has_overlaps) {
-    overlaps_->Install(
-        std::make_shared<const OverlapCounts>(std::move(state.overlaps)),
-        snapshot_->generation());
+  if (KeepsOverlaps() && state.has_overlaps) {
+    overlaps_ =
+        std::make_unique<const OverlapCounts>(std::move(state.overlaps));
+    overlaps_generation_ = snapshot_->generation();
   }
   RefreshReport();
   return Status::OK();
@@ -769,28 +701,18 @@ Status Session::Update(const DatasetDelta& delta) {
   apply_watch.Start();
   auto applied = snapshot_->Apply(delta);
   if (!applied.ok()) return applied.status();
-  auto next = std::make_unique<Dataset>(std::move(applied->data));
-  DeltaSummary summary = std::move(applied->summary);
+  const DeltaSummary& summary = applied->summary;
   update_stats_.touched_sources = summary.touched_sources.size();
   update_stats_.touched_items = summary.touched_items.size();
   update_stats_.added_observations = summary.added;
   update_stats_.overwritten_observations = summary.overwritten;
   update_stats_.retracted_observations = summary.retracted;
-
-  // A delta touching most of the data makes patching the overlap
-  // counts per touched item dearer than recounting them (bit-identical
-  // either way; this is purely a cost decision).
-  const bool small = summary.TouchedItemFraction(*next) <=
-                     options_.update_rebuild_fraction;
-  update_stats_.incremental = small && MaintainsUpdateState();
-  if (overlaps_ != nullptr) {
-    update_stats_.overlaps_maintained = overlaps_->Advance(
-        *snapshot_, *next, summary, /*allow_incremental=*/small);
-  }
-  snapshot_ = std::move(next);
+  snapshot_ = std::make_unique<Dataset>(std::move(applied->data));
   apply_watch.Stop();
   update_stats_.apply_seconds = apply_watch.Seconds();
 
+  // A cold run on the new snapshot; StartOn recounts the overlaps of
+  // its fresh generation.
   Stopwatch run_watch;
   run_watch.Start();
   Status status = StartOn(*snapshot_);
@@ -820,6 +742,8 @@ class PrecomputedDetector : public CopyDetector {
       : CopyDetector(params), copies_(std::move(copies)) {}
 
   std::string_view name() const override { return "precomputed"; }
+
+  bool reads_overlaps() const override { return false; }
 
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override {
@@ -896,8 +820,14 @@ Status Session::RunShardRound(const Dataset& data,
   // protocol assumes (and zeroes counters, so the shard file carries
   // this round's work alone).
   detector_->Reset();
+  // Counted per round, like everything else a shard process holds.
+  OverlapCounts overlaps;
   DetectionInput in;
   in.data = &data;
+  if (detector_->reads_overlaps()) {
+    overlaps = ComputeOverlaps(data);
+    in.overlaps = &overlaps;
+  }
   in.value_probs = &state->fusion.value_probs;
   in.accuracies = &state->fusion.accuracies;
   ShardResult part;

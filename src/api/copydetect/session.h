@@ -23,10 +23,10 @@
 /// The streaming mode exposes the fusion loop round by round for
 /// incremental/online scenarios; both modes produce bit-identical
 /// results (Session::Run is the streaming loop driven to completion).
-/// Update applies a DatasetDelta to the session's snapshot, patches
-/// the maintained overlap counts and re-runs detection + fusion, with
-/// output bit-identical to rebuilding the data set and re-running
-/// from scratch (tests/session_update_test.cc proves it per detector).
+/// Update applies a DatasetDelta to the session's snapshot and re-runs
+/// detection + fusion cold on it, with output bit-identical to
+/// rebuilding the data set and re-running from scratch
+/// (tests/session_update_test.cc proves it per detector).
 ///
 /// Everything an application needs downstream of the pipeline —
 /// worlds and profiles (datagen), metrics and text tables (eval),
@@ -62,7 +62,7 @@
 
 namespace copydetect {
 
-class SessionOverlaps;
+class OverlapCounts;
 
 namespace snapshot {
 struct SessionState;
@@ -115,10 +115,10 @@ struct SessionOptions {
   /// read them, the overlap counts of that snapshot. Memory cost: one
   /// Dataset copy plus the overlap counts; off by default.
   bool online_updates = false;
-  /// Update recounts the overlap counts from scratch instead of
-  /// patching them per touched item when the delta touches more than
-  /// this fraction of items — for a large delta the patch costs more
-  /// than it saves. Either path yields bit-identical reports.
+  /// Deprecated: has no effect (Update always recounts the overlap
+  /// counts); removed in the next release. Still range-checked to
+  /// [0, 1] and persisted in snapshots, so existing files and
+  /// configurations stay valid.
   double update_rebuild_fraction = 0.5;
 
   // --- Multi-process shard plan (Session BSP API below). ---
@@ -158,18 +158,14 @@ struct IncrementalRoundInfo {
   bool from_scratch = false;  ///< full re-detection round
 };
 
-/// What one Session::Update did — the incremental-vs-fallback
-/// decision and what the delta touched. Timings separate the snapshot
-/// and overlap maintenance (apply_seconds) from the re-detection and
-/// re-fusion (run_seconds).
+/// What one Session::Update did: what the delta touched, and how long
+/// applying it (apply_seconds) and the cold re-run (run_seconds) took.
 struct UpdateStats {
-  /// True when the delta was small enough (update_rebuild_fraction)
-  /// for the per-item maintenance path; false when the update fell
-  /// back to recounting, and always false in sampled or accuracy-only
-  /// sessions.
+  /// Deprecated: always false (Update has no incremental path);
+  /// removed in the next release.
   bool incremental = false;
-  /// True when the overlap counts were patched per touched item
-  /// instead of recounted from scratch.
+  /// Deprecated: always false (Update recounts the overlap counts);
+  /// removed in the next release.
   bool overlaps_maintained = false;
   size_t touched_sources = 0;
   size_t touched_items = 0;
@@ -179,8 +175,9 @@ struct UpdateStats {
   /// Deprecated: always 0 (Update re-runs every round cold); removed
   /// in the next release.
   uint64_t reused_pairs = 0;
-  double apply_seconds = 0.0;  ///< Dataset::Apply + overlap patch
-  double run_seconds = 0.0;    ///< re-detection + re-fusion
+  double apply_seconds = 0.0;  ///< Dataset::Apply
+  /// Overlap recount + re-detection + re-fusion.
+  double run_seconds = 0.0;
 };
 
 /// Everything one run produces: the fusion outcome (truth, value
@@ -291,10 +288,9 @@ class Session {
 
   // --- Online updates (requires SessionOptions::online_updates). ---
   /// Applies `delta` to the session's snapshot and re-runs detection +
-  /// fusion: the next snapshot comes from Dataset::Apply, the
-  /// maintained overlap counts are patched per touched item (large
-  /// deltas recount them, see SessionOptions::update_rebuild_fraction)
-  /// and the fusion loop runs cold on the new snapshot. The refreshed
+  /// fusion: the next snapshot comes from Dataset::Apply, its overlap
+  /// counts are recounted (for detectors that read them) and the
+  /// fusion loop runs cold on it. The refreshed
   /// report() is bit-identical to rebuilding the merged data set and
   /// Run()ning it from scratch. Requires a completed Run/Start on this
   /// session first.
@@ -307,7 +303,7 @@ class Session {
   // --- Snapshot persistence (snapshot/snapshot_io.h; format spec in
   // docs/FORMATS.md). ---
   /// Serializes the session's current state — options, the data
-  /// snapshot, the maintained overlap counts and the fusion result —
+  /// snapshot, its overlap counts and the fusion result —
   /// to a versioned, checksummed binary file, so a later process can
   /// Load() it and resume exactly where this one stopped. Written
   /// atomically (temp + rename).
@@ -321,8 +317,8 @@ class Session {
   /// Reconstructs a session from a Save()d file: options are restored
   /// and re-validated through Create, the data snapshot and fusion
   /// result are installed (report() works immediately, without
-  /// re-running), and with online_updates the maintained overlaps are
-  /// rebound to the loaded snapshot — a subsequent Update/Start/Step
+  /// re-running), and with online_updates the saved overlap counts are
+  /// bound to the loaded snapshot — a subsequent Update/Start/Step
   /// behaves bit-identically to the session that never left memory
   /// (tests/session_snapshot_test.cc). An update tape written by older
   /// libraries is verified and ignored.
@@ -413,11 +409,12 @@ class Session {
   Status InstallLoaded(snapshot::SessionState state);
   /// Shared eligibility gate of the three BSP entry points.
   Status CheckBspEligible() const;
-  /// True when Update maintains state across deltas: online updates
-  /// with an unsampled detector in the loop.
-  bool MaintainsUpdateState() const {
-    return options_.online_updates && options_.use_copy_detection &&
-           options_.sample_rate == 0.0;
+  /// True when the session keeps the overlap counts of its snapshot
+  /// (and Save writes them): online updates with a detector that
+  /// reads them — not pairwise, not sampled, not accuracy-only.
+  bool KeepsOverlaps() const {
+    return options_.online_updates && detector_ != nullptr &&
+           detector_->reads_overlaps();
   }
 
   SessionOptions options_;
@@ -435,7 +432,10 @@ class Session {
 
   // Online-update state (null/empty unless options_.online_updates).
   std::unique_ptr<Dataset> snapshot_;  // owned evolving snapshot
-  std::unique_ptr<SessionOverlaps> overlaps_;  // maintained overlaps
+  /// Overlap counts of the Dataset with generation overlaps_generation_
+  /// (null unless KeepsOverlaps()); handed to the fusion loop.
+  std::unique_ptr<const OverlapCounts> overlaps_;
+  uint64_t overlaps_generation_ = 0;
   UpdateStats update_stats_;
 };
 

@@ -118,9 +118,9 @@ double BruteForceMaxEntryContribution(std::span<const double> accuracies,
 /// finalization step (§III Step 3), computed in double space.
 /// `l` (shared items) and `n_shared` (shared values) are unsigned
 /// counts from different passes; the naive `l - n_shared` wraps to
-/// ~4·10^9 whenever a stale overlap cache or crafted input makes
-/// n_shared exceed l, exploding the penalty. Widen before subtracting
-/// so the mismatch degrades gracefully instead.
+/// ~4·10^9 whenever overlap counts of another data set or crafted
+/// input make n_shared exceed l, exploding the penalty. Widen before
+/// subtracting so the mismatch degrades gracefully instead.
 inline double DifferentValuePenalty(double per_item_penalty, uint32_t l,
                                     uint32_t n_shared) {
   return per_item_penalty *

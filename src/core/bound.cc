@@ -7,6 +7,7 @@
 #include "common/executor.h"
 #include "core/bayes.h"
 #include "core/sharded_scan.h"
+#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -235,11 +236,10 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
 }  // namespace
 
 Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
-                   const ScanConfig& config,
-                   const OverlapCounts& overlaps, Counters* counters,
+                   const ScanConfig& config, Counters* counters,
                    CopyResult* out, ScanBookkeeping* book,
                    ScanOutputs* extras) {
-  CD_RETURN_IF_ERROR(in.Validate());
+  CD_RETURN_IF_ERROR(in.ValidateWithOverlaps());
   out->Clear();
   if (book != nullptr) book->Clear();
 
@@ -261,7 +261,7 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
   RunShardedScan(executor, counters, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o, Arena* arena) {
-                   ScanShard(index, in, params, config, overlaps, shard,
+                   ScanShard(index, in, params, config, *in.overlaps, shard,
                              num_shards, c, o,
                              num_shards == 1 ? book : nullptr, arena);
                  });
@@ -275,16 +275,14 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
 Status BoundDetector::DetectRound(const DetectionInput& in, int round,
                                   CopyResult* out) {
   (void)round;
-  CD_RETURN_IF_ERROR(in.Validate());
   ScanConfig config;
   config.lazy_bounds = lazy_;
   config.hybrid_threshold = 0;
   config.ordering = ordering_;
   config.seed = seed_;
   ScanOutputs extras;
-  Status st = BoundedScan(in, params_, config,
-                          overlap_cache_.Get(*in.data), &counters_, out,
-                          nullptr, &extras);
+  Status st =
+      BoundedScan(in, params_, config, &counters_, out, nullptr, &extras);
   last_index_seconds_ = extras.index_seconds;
   return st;
 }

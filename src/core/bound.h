@@ -5,7 +5,6 @@
 
 #include "core/detector.h"
 #include "core/inverted_index.h"
-#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -56,7 +55,8 @@ struct ScanOutputs {
 /// finalizes survivors exactly. Fills `book` (when non-null) with the
 /// per-pair records INCREMENTAL needs. The tail-set optimization is
 /// only active under kByContribution ordering; other orderings process
-/// every entry as a head entry.
+/// every entry as a head entry. Reads the pair overlaps from
+/// `in.overlaps`, which must be set.
 ///
 /// When `params.executor` runs more than one thread and `book` is
 /// null, the scan shards by pair ownership over the shared executor:
@@ -65,8 +65,7 @@ struct ScanOutputs {
 /// exactly as it would sequentially — bit-identical results at every
 /// thread count. The bookkeeping path stays sequential.
 Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
-                   const ScanConfig& config,
-                   const OverlapCounts& overlaps, Counters* counters,
+                   const ScanConfig& config, Counters* counters,
                    CopyResult* out, ScanBookkeeping* book,
                    ScanOutputs* extras);
 
@@ -83,11 +82,6 @@ class BoundDetector : public CopyDetector {
     return lazy_ ? "boundplus" : "bound";
   }
 
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
@@ -97,7 +91,6 @@ class BoundDetector : public CopyDetector {
   bool lazy_;
   EntryOrdering ordering_;
   uint64_t seed_;
-  OverlapCache overlap_cache_;
   double last_index_seconds_ = 0.0;
 };
 

@@ -14,15 +14,23 @@
 
 namespace copydetect {
 
-/// Everything a detection round reads: the static data set plus the
-/// fusion loop's current estimates. Value probabilities are per slot
-/// (see Dataset), accuracies per source.
+class OverlapCounts;
+
+/// Everything a detection round reads: the static data set, its
+/// shared-item counts, and the fusion loop's current estimates. Value
+/// probabilities are per slot (see Dataset), accuracies per source.
 struct DetectionInput {
   const Dataset* data = nullptr;
+  /// l(S1, S2) of `data` (simjoin/overlap.h), counted once by whoever
+  /// runs the loop and reused every round. Required by the detectors
+  /// whose reads_overlaps() is true; may be null for the others.
+  const OverlapCounts* overlaps = nullptr;
   const std::vector<double>* value_probs = nullptr;
   const std::vector<double>* accuracies = nullptr;
 
   Status Validate() const;
+  /// Validate() plus a non-null `overlaps` over data's source count.
+  Status ValidateWithOverlaps() const;
 };
 
 /// Interface every copy-detection algorithm implements. Detectors may
@@ -41,6 +49,11 @@ class CopyDetector {
 
   /// Drops any cross-round state and zeroes counters.
   virtual void Reset() { counters_.Reset(); }
+
+  /// True when DetectRound reads DetectionInput::overlaps, so the
+  /// caller must count them. Defaults to true so that wrappers which
+  /// forward their input unchanged get counts to forward.
+  virtual bool reads_overlaps() const { return true; }
 
   const Counters& counters() const { return counters_; }
   const DetectionParams& params() const { return params_; }

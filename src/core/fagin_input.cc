@@ -5,14 +5,15 @@
 #include "common/timer.h"
 #include "core/bayes.h"
 #include "core/inverted_index.h"
+#include "simjoin/overlap.h"
 
 namespace copydetect {
 
 StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
                                      const DetectionParams& params,
-                                     const OverlapCounts& overlaps,
                                      Counters* counters) {
-  CD_RETURN_IF_ERROR(in.Validate());
+  CD_RETURN_IF_ERROR(in.ValidateWithOverlaps());
+  const OverlapCounts& overlaps = *in.overlaps;
   Stopwatch watch;
   watch.Start();
 
@@ -90,9 +91,7 @@ Status FaginInputDetector::DetectRound(const DetectionInput& in,
                                        int round, CopyResult* out) {
   (void)round;
   out->Clear();
-  auto input_or = BuildFaginInput(in, params_,
-                                  overlap_cache_.Get(*in.data),
-                                  &counters_);
+  auto input_or = BuildFaginInput(in, params_, &counters_);
   if (!input_or.ok()) return input_or.status();
   const FaginInput& input = *input_or;
   last_build_seconds_ = input.build_seconds;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/detector.h"
-#include "simjoin/overlap.h"
 #include "topk/nra.h"
 
 namespace copydetect {
@@ -21,9 +20,9 @@ struct FaginInput {
 
 /// Materializes the NRA input. This already costs as much as a full
 /// INDEX scan — the paper's argument for why the NRA route cannot win.
+/// Reads the pair overlaps from `in.overlaps`, which must be set.
 StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
                                      const DetectionParams& params,
-                                     const OverlapCounts& overlaps,
                                      Counters* counters);
 
 /// Top-k candidate copier pairs by forward score via NRA over the
@@ -46,13 +45,7 @@ class FaginInputDetector : public CopyDetector {
 
   double last_build_seconds() const { return last_build_seconds_; }
 
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
  private:
-  OverlapCache overlap_cache_;
   double last_build_seconds_ = 0.0;
 };
 

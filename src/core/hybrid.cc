@@ -11,16 +11,14 @@ Status HybridDetector::DetectRound(const DetectionInput& in, int round,
 Status HybridDetector::DetectWithBookkeeping(const DetectionInput& in,
                                              CopyResult* out,
                                              ScanBookkeeping* book) {
-  CD_RETURN_IF_ERROR(in.Validate());
   ScanConfig config;
   config.lazy_bounds = true;
   config.hybrid_threshold = params_.hybrid_threshold;
   config.ordering = ordering_;
   config.seed = seed_;
   ScanOutputs extras;
-  Status st = BoundedScan(in, params_, config,
-                          overlap_cache_.Get(*in.data), &counters_, out,
-                          book, &extras);
+  Status st =
+      BoundedScan(in, params_, config, &counters_, out, book, &extras);
   last_index_seconds_ = extras.index_seconds;
   return st;
 }

@@ -28,15 +28,9 @@ class HybridDetector : public CopyDetector {
 
   double last_index_seconds() const { return last_index_seconds_; }
 
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
  private:
   EntryOrdering ordering_;
   uint64_t seed_;
-  OverlapCache overlap_cache_;
   double last_index_seconds_ = 0.0;
 };
 

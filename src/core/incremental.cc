@@ -24,7 +24,7 @@ enum Category : uint8_t {
 
 Status IncrementalDetector::DetectRound(const DetectionInput& in,
                                         int round, CopyResult* out) {
-  CD_RETURN_IF_ERROR(in.Validate());
+  CD_RETURN_IF_ERROR(in.ValidateWithOverlaps());
   // The paper applies INCREMENTAL from round 3 on: results move too
   // much in the first two rounds for refinement to pay off.
   if (round <= 2 || !seeded_) {
@@ -35,7 +35,6 @@ Status IncrementalDetector::DetectRound(const DetectionInput& in,
 
 void IncrementalDetector::Reset() {
   CopyDetector::Reset();
-  overlap_cache_.Clear();
   seeded_ = false;
   index_.reset();
   p_snap_.clear();
@@ -59,9 +58,8 @@ Status IncrementalDetector::FromScratchRound(const DetectionInput& in,
   ScanBookkeeping book;
   ScanOutputs extras;
   extras.keep_index = (round >= 2);
-  CD_RETURN_IF_ERROR(BoundedScan(in, params_, config,
-                                 overlap_cache_.Get(*in.data),
-                                 &counters_, out, &book, &extras));
+  CD_RETURN_IF_ERROR(
+      BoundedScan(in, params_, config, &counters_, out, &book, &extras));
 
   if (round >= 2) {
     // Freeze the snapshot: index order, tail set, per-entry

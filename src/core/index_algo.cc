@@ -4,6 +4,7 @@
 #include "common/executor.h"
 #include "core/bayes.h"
 #include "core/sharded_scan.h"
+#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -93,9 +94,9 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
 Status IndexDetector::DetectRound(const DetectionInput& in, int round,
                                   CopyResult* out) {
   (void)round;
-  CD_RETURN_IF_ERROR(in.Validate());
+  CD_RETURN_IF_ERROR(in.ValidateWithOverlaps());
   out->Clear();
-  const OverlapCounts& overlaps = overlap_cache_.Get(*in.data);
+  const OverlapCounts& overlaps = *in.overlaps;
 
   auto index_or = InvertedIndex::Build(in, params_, ordering_, seed_);
   if (!index_or.ok()) return index_or.status();

@@ -3,7 +3,6 @@
 
 #include "core/detector.h"
 #include "core/inverted_index.h"
-#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -36,15 +35,9 @@ class IndexDetector : public CopyDetector {
   /// indexing cost separately from scanning).
   double last_index_seconds() const { return last_index_seconds_; }
 
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
  private:
   EntryOrdering ordering_;
   uint64_t seed_;
-  OverlapCache overlap_cache_;
   double last_index_seconds_ = 0.0;
 };
 

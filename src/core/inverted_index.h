@@ -32,9 +32,10 @@ struct IndexEntry {
 };
 
 /// The specialized inverted index of §III. The shared-item counts
-/// l(S1,S2) the scan algorithms need at finalization time live in a
-/// separate OverlapCache (simjoin substrate): they are static across
-/// fusion rounds while the index is rebuilt per round.
+/// l(S1,S2) the scan algorithms need at finalization time arrive
+/// separately, in DetectionInput::overlaps (simjoin substrate): they
+/// are static across fusion rounds while the index is rebuilt per
+/// round.
 class InvertedIndex {
  public:
   /// Builds the index. For kByContribution the tail set E̅ (the maximal

@@ -30,6 +30,9 @@ class PairwiseDetector : public CopyDetector {
 
   std::string_view name() const override { return "pairwise"; }
 
+  /// Pairwise finds each pair's shared items itself.
+  bool reads_overlaps() const override { return false; }
+
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 

@@ -179,17 +179,21 @@ SampledDetector::SampledDetector(const DetectionParams& params,
 Status SampledDetector::DetectRound(const DetectionInput& in, int round,
                                     CopyResult* out) {
   CD_RETURN_IF_ERROR(in.Validate());
-  if (sample_ == nullptr || sampled_from_ != in.data) {
+  if (sample_ == nullptr ||
+      sampled_generation_ != in.data->generation()) {
     Stopwatch watch;
     watch.Start();
     auto sampled = SampleDataset(*in.data, spec_);
     if (!sampled.ok()) return sampled.status();
     sample_ =
         std::make_unique<SampledData>(std::move(sampled).value());
-    sampled_from_ = in.data;
+    sampled_generation_ = in.data->generation();
     base_->Reset();
     watch.Stop();
     sample_seconds_ = watch.Seconds();
+    if (base_->reads_overlaps()) {
+      sample_overlaps_ = ComputeOverlaps(sample_->data);
+    }
   }
   // Project the fusion loop's value probabilities onto the sample.
   projected_probs_.resize(sample_->data.num_slots());
@@ -198,6 +202,7 @@ Status SampledDetector::DetectRound(const DetectionInput& in, int round,
   }
   DetectionInput sub;
   sub.data = &sample_->data;
+  sub.overlaps = base_->reads_overlaps() ? &sample_overlaps_ : nullptr;
   sub.value_probs = &projected_probs_;
   sub.accuracies = in.accuracies;  // source ids preserved
   Status st = base_->DetectRound(sub, round, out);
@@ -209,7 +214,8 @@ void SampledDetector::Reset() {
   CopyDetector::Reset();
   base_->Reset();
   sample_.reset();
-  sampled_from_ = nullptr;
+  sampled_generation_ = 0;
+  sample_overlaps_ = OverlapCounts();
   sample_seconds_ = 0.0;
 }
 

@@ -6,6 +6,7 @@
 
 #include "core/detector.h"
 #include "model/dataset.h"
+#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -47,9 +48,11 @@ StatusOr<SampledData> SampleDataset(const Dataset& full,
                                     const SampleSpec& spec);
 
 /// Wraps any detector to run on a sample of the data set; the sample
-/// is drawn once per data set and reused across rounds (the paper's
-/// SCALESAMPLE applies INCREMENTAL on one sample). Value probabilities
-/// are projected through the slot mapping each round.
+/// (and, when the wrapped detector reads them, its overlap counts) is
+/// drawn once per data set — keyed on Dataset::generation() — and
+/// reused across rounds (the paper's SCALESAMPLE applies INCREMENTAL on
+/// one sample). Value probabilities are projected through the slot
+/// mapping each round.
 class SampledDetector : public CopyDetector {
  public:
   SampledDetector(const DetectionParams& params,
@@ -63,6 +66,10 @@ class SampledDetector : public CopyDetector {
 
   void Reset() override;
 
+  /// The full data set's counts are of no use: the wrapped detector
+  /// reads the sample's, which this detector counts itself.
+  bool reads_overlaps() const override { return false; }
+
   /// The sample drawn for the current data set (null before first use).
   const SampledData* sample() const { return sample_.get(); }
   /// Seconds spent drawing the sample (the paper's sampling overhead).
@@ -75,8 +82,9 @@ class SampledDetector : public CopyDetector {
   std::unique_ptr<CopyDetector> base_;
   SampleSpec spec_;
   std::string name_;
-  const Dataset* sampled_from_ = nullptr;
+  uint64_t sampled_generation_ = 0;  // 0 = no sample yet
   std::unique_ptr<SampledData> sample_;
+  OverlapCounts sample_overlaps_;  // empty unless base_ reads them
   std::vector<double> projected_probs_;
   double sample_seconds_ = 0.0;
 };

@@ -34,6 +34,10 @@ class ShardedDetector : public CopyDetector {
 
   void Reset() override;
 
+  bool reads_overlaps() const override {
+    return inners_.front()->reads_overlaps();
+  }
+
  private:
   ShardedDetector(std::string name, const DetectionParams& params,
                   std::vector<std::unique_ptr<CopyDetector>> inners)

@@ -22,17 +22,30 @@ std::vector<SlotId> VoteFusion(const Dataset& data) {
   return truth;
 }
 
-Status FusionLoop::Start(const Dataset& data, CopyDetector* detector) {
+Status FusionLoop::Bind(const Dataset& data, CopyDetector* detector,
+                        const OverlapCounts* overlaps) {
   CD_RETURN_IF_ERROR(options_.params.Validate());
   if (options_.use_copy_detection && detector == nullptr) {
     return Status::InvalidArgument(
         "use_copy_detection requires a detector");
   }
-
-  Stopwatch init;
-  init.Start();
   data_ = &data;
   detector_ = detector;
+  overlaps_ = overlaps;
+  owned_overlaps_ = OverlapCounts();
+  if (overlaps_ == nullptr && options_.use_copy_detection &&
+      detector->reads_overlaps()) {
+    owned_overlaps_ = ComputeOverlaps(data);
+    overlaps_ = &owned_overlaps_;
+  }
+  return Status::OK();
+}
+
+Status FusionLoop::Start(const Dataset& data, CopyDetector* detector,
+                         const OverlapCounts* overlaps) {
+  Stopwatch init;
+  init.Start();
+  CD_RETURN_IF_ERROR(Bind(data, detector, overlaps));
   result_ = FusionResult();
   result_.value_probs = InitialValueProbs(data);
   result_.accuracies =
@@ -46,19 +59,13 @@ Status FusionLoop::Start(const Dataset& data, CopyDetector* detector) {
 
 Status FusionLoop::Resume(const Dataset& data, CopyDetector* detector,
                           FusionResult state) {
-  CD_RETURN_IF_ERROR(options_.params.Validate());
-  if (options_.use_copy_detection && detector == nullptr) {
-    return Status::InvalidArgument(
-        "use_copy_detection requires a detector");
-  }
   if (state.value_probs.size() != data.num_slots() ||
       state.accuracies.size() != data.num_sources()) {
     return Status::InvalidArgument(
         "FusionLoop::Resume: state dimensions disagree with the data "
         "set");
   }
-  data_ = &data;
-  detector_ = detector;
+  CD_RETURN_IF_ERROR(Bind(data, detector, /*overlaps=*/nullptr));
   result_ = std::move(state);
   done_ = result_.converged || result_.rounds >= options_.max_rounds;
   return Status::OK();
@@ -80,6 +87,7 @@ StatusOr<bool> FusionLoop::Step() {
   if (options_.use_copy_detection) {
     DetectionInput in;
     in.data = &data;
+    in.overlaps = overlaps_;
     in.value_probs = &result_.value_probs;
     in.accuracies = &result_.accuracies;
     Stopwatch detect;

@@ -7,6 +7,7 @@
 #include "core/detector.h"
 #include "fusion/value_probs.h"
 #include "model/dataset.h"
+#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -81,14 +82,23 @@ std::vector<SlotId> VoteFusion(const Dataset& data);
 /// only when options.use_copy_detection is false. Because Run is
 /// implemented on top of this class, driving it to completion is
 /// bit-identical to the one-shot path by construction.
+///
+/// The loop hands the detector the overlap counts of `data` every
+/// round (DetectionInput::overlaps): the caller's, when it passes
+/// them to Start (and then they must outlive the loop), or else
+/// counted once by the loop itself when the detector reads_overlaps().
 class FusionLoop {
  public:
   explicit FusionLoop(const FusionOptions& options)
       : options_(options) {}
+  // Not copyable or movable: overlaps_ may point into owned_overlaps_.
+  FusionLoop(const FusionLoop&) = delete;
+  FusionLoop& operator=(const FusionLoop&) = delete;
 
   /// Validates options and initializes round-0 state (initial value
   /// probabilities and accuracies). Resets any previous run.
-  Status Start(const Dataset& data, CopyDetector* detector);
+  Status Start(const Dataset& data, CopyDetector* detector,
+               const OverlapCounts* overlaps = nullptr);
 
   /// Start()'s warm twin: adopts `state` — a FusionResult persisted
   /// after some round N — as the loop's state, so the next Step()
@@ -122,9 +132,16 @@ class FusionLoop {
   FusionResult Take() && { return std::move(result_); }
 
  private:
+  /// Validates the detector and binds data, detector and overlap
+  /// counts — the part Start and Resume share.
+  Status Bind(const Dataset& data, CopyDetector* detector,
+              const OverlapCounts* overlaps);
+
   FusionOptions options_;
   const Dataset* data_ = nullptr;
   CopyDetector* detector_ = nullptr;
+  const OverlapCounts* overlaps_ = nullptr;  // caller's or owned_
+  OverlapCounts owned_overlaps_;
   FusionResult result_;
   bool done_ = true;  // until Start
 };

@@ -50,8 +50,9 @@ class Dataset {
   /// monotone counter at construction and carried along by copies
   /// (copies hold identical content, so sharing the id is sound).
   /// Caches keyed on a Dataset must key on this, not on the object's
-  /// address: a different Dataset allocated at a recycled address
-  /// would otherwise silently hit a stale entry (see OverlapCache).
+  /// address: a different Dataset allocated at a recycled address, or
+  /// assigned into the same object, would otherwise silently hit a
+  /// stale entry (see SampledDetector, Session's overlap counts).
   uint64_t generation() const { return generation_; }
 
   std::string_view source_name(SourceId s) const {
@@ -136,9 +137,9 @@ class Dataset {
   /// with a DatasetBuilder that registers the surviving source/item
   /// names in id order — the layout is canonical (slots ordered by
   /// value string within each item), so incremental consumers
-  /// (OverlapCounts, InvertedIndex, Session::Update) can trust ids off
-  /// the summary's mapping. Cost: O(size) array rebuilding with cheap
-  /// copies for untouched rows — no global sort, no re-interning.
+  /// (UpdateOverlaps) can trust ids off the summary's mapping. Cost:
+  /// O(size) array rebuilding with cheap copies for untouched rows —
+  /// no global sort, no re-interning.
   /// Implemented in model/dataset_delta.cc.
   StatusOr<AppliedDelta> Apply(const DatasetDelta& delta) const;
 

@@ -66,9 +66,9 @@ class DatasetDelta {
   std::vector<Op> ops_;
 };
 
-/// What Dataset::Apply changed, in the *new* snapshot's id space —
-/// everything incremental maintenance downstream needs (overlap
-/// counts, index rebasing, per-pair reuse in Session::Update).
+/// What Dataset::Apply changed, in the *new* snapshot's id space: the
+/// touched items UpdateOverlaps patches and the figures
+/// Session::Update reports in UpdateStats.
 struct DeltaSummary {
   /// Sources with at least one op, ascending. New sources included.
   std::vector<SourceId> touched_sources;
@@ -89,16 +89,6 @@ struct DeltaSummary {
 
   bool SourceTouched(SourceId s) const;
   bool ItemTouched(ItemId d) const;
-
-  /// Fraction of the new snapshot's items that are touched — the
-  /// "is the delta too large to pay off" signal update consumers use
-  /// to fall back to full rebuilds.
-  double TouchedItemFraction(const Dataset& next) const {
-    return next.num_items() == 0
-               ? 0.0
-               : static_cast<double>(touched_items.size()) /
-                     static_cast<double>(next.num_items());
-  }
 };
 
 /// The result of Dataset::Apply: the next snapshot plus the summary

@@ -2,7 +2,6 @@
 #define COPYDETECT_SIMJOIN_OVERLAP_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,6 +29,9 @@ class OverlapCounts {
 
   /// Number of pairs with a positive count.
   size_t NumPositivePairs() const;
+
+  /// Size of the source universe the counts were taken over.
+  SourceId num_sources() const { return num_sources_; }
 
   /// Visits every pair with a positive count: fn(pair_key, count).
   template <typename Fn>
@@ -96,60 +98,14 @@ OverlapCounts ComputeOverlaps(const Dataset& data,
 /// path does not apply because the source universe changed (the dense
 /// triangular layout is keyed on the source count); the caller should
 /// recompute from scratch then.
+///
+/// No engine path calls this: Session::Update recounts, because the
+/// patch saves well under 1% of an update (EXPERIMENTS.md "Overlap
+/// maintenance"). perfbench's traced serve phase still times it as
+/// `simjoin.overlap_update_s`.
 bool UpdateOverlaps(OverlapCounts* counts, const Dataset& old_data,
                     const Dataset& new_data,
                     std::span<const ItemId> touched_items);
-
-/// Cross-snapshot publication point for delta-maintained overlap
-/// counts, keyed on Dataset::generation(). An updating session that
-/// already holds the counts of a new snapshot (Session::Update
-/// maintains them through UpdateOverlaps) publishes them here;
-/// OverlapCache::Get consults the registry before recounting, so every
-/// detector's private cache picks the maintained counts up with no
-/// plumbing through the detector interface. Generations are
-/// process-unique and a generation's counts are immutable, so a lookup
-/// can never return stale data. Thread-safe.
-/// Publications are reference-counted per generation: two sessions
-/// serving the same snapshot each Publish and each Withdraw, and the
-/// entry survives until the last publisher withdraws — without the
-/// count, the first session's destruction would yank the second's
-/// publication out from under it, and a long-lived process would
-/// either leak generations or drop live ones.
-class SharedOverlaps {
- public:
-  static void Publish(uint64_t generation,
-                      std::shared_ptr<const OverlapCounts> counts);
-  /// Counts published for `generation`, or null.
-  static std::shared_ptr<const OverlapCounts> Lookup(uint64_t generation);
-  /// Drops one publication of `generation`; the registry entry goes
-  /// away with the last one (borrowed references stay valid).
-  static void Withdraw(uint64_t generation);
-  /// Number of generations currently published — a leak check for
-  /// session-lifecycle tests.
-  static size_t NumPublished();
-};
-
-/// Round-to-round cache: l(S1,S2) depends only on which cells are
-/// filled, which never changes inside a fusion run, so detectors
-/// compute it once per data set and reuse it every round (§III counts
-/// it as index-build work; only the first round pays it).
-///
-/// Keyed on Dataset::generation(), not the object's address: keying on
-/// the pointer alone let a *different* data set allocated at a
-/// recycled address silently inherit the previous one's counts.
-class OverlapCache {
- public:
-  /// Returns the counts for `data`: the cached ones when the
-  /// generation matches, else SharedOverlaps-published ones when
-  /// available (the Session::Update fast path), else a fresh count.
-  const OverlapCounts& Get(const Dataset& data);
-
-  void Clear();
-
- private:
-  uint64_t generation_ = 0;  // 0 = empty (generations start at 1)
-  std::shared_ptr<const OverlapCounts> counts_;
-};
 
 }  // namespace copydetect
 

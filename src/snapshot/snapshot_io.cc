@@ -126,9 +126,6 @@ struct DatasetSerde {
 
 struct OverlapSerde {
   static bool dense_mode(const OverlapCounts& c) { return c.dense_mode_; }
-  static SourceId num_sources(const OverlapCounts& c) {
-    return c.num_sources_;
-  }
   static const ArrayStore<uint32_t>& dense(const OverlapCounts& c) {
     return c.dense_;
   }
@@ -684,7 +681,7 @@ void WriteOverlaps(uint64_t generation, const OverlapCounts& c,
                    Writer* w) {
   w->U64(generation);
   w->U8(OverlapSerde::dense_mode(c) ? 1 : 0);
-  w->U32(OverlapSerde::num_sources(c));
+  w->U32(c.num_sources());
   w->Vec(OverlapSerde::dense(c));
   WriteRawMapU32(OverlapSerde::sparse(c), w);
 }

@@ -77,7 +77,7 @@ inline constexpr unsigned char kMagic[8] = {'C', 'D', 'S', 'N',
 enum class SectionId : uint32_t {
   kOptions = 1,   ///< session configuration, self-describing fields
   kDataset = 2,   ///< the Dataset snapshot, all arrays verbatim
-  kOverlaps = 3,  ///< maintained OverlapCounts (optional)
+  kOverlaps = 3,  ///< the snapshot's OverlapCounts (optional)
   kFusion = 4,    ///< the last completed run's FusionResult
   kTape = 5,      ///< legacy update tape: checksummed, then ignored
   kShard = 6,     ///< one shard's round result (shard files only)
@@ -227,7 +227,7 @@ class MmapReader {
 /// pages instead of file + decoded copy. Requires a version-2 file;
 /// version-1 files (and big-endian hosts) transparently fall back to
 /// the owned Read(). The returned state's views keep the mapping
-/// alive; Dataset::Apply and UpdateOverlaps copy-on-write out of it.
+/// alive; Dataset::Apply copies-on-write out of it.
 StatusOr<SessionState> ReadMapped(const std::string& path);
 
 /// One shard's round output (ShardResult), framed exactly like a

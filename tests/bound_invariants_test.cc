@@ -30,9 +30,8 @@ Verdicts EarlyVerdicts(const DetectionInput& in, bool lazy,
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(*in.data);
   ScanOutputs extras;
-  CD_CHECK_OK(BoundedScan(in, PaperParams(), config, overlaps,
+  CD_CHECK_OK(BoundedScan(in, PaperParams(), config,
                           &counters, &result, &book, &extras));
   *num_entries_out = extras.num_entries;
   Verdicts v;
@@ -109,9 +108,8 @@ TEST(BoundInvariants, SurvivorsAreExact) {
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(world.data);
   ScanOutputs extras;
-  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, overlaps, &counters,
+  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, &counters,
                           &result, &book, &extras)
                   .ok());
 

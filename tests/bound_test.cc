@@ -130,8 +130,7 @@ TEST(BoundedScan, BookkeepingRecordsDecisions) {
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(fx.world.data);
-  ASSERT_TRUE(BoundedScan(fx.Input(), PaperParams(), config, overlaps,
+  ASSERT_TRUE(BoundedScan(fx.Input(), PaperParams(), config,
                           &counters, &result, &book, nullptr)
                   .ok());
   EXPECT_EQ(book.size(), 26u);
@@ -157,8 +156,7 @@ TEST(BoundedScan, BookkeepingCountsAfterDecisionValues) {
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(world.data);
-  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, overlaps, &counters,
+  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, &counters,
                           &result, &book, nullptr)
                   .ok());
   // Verify against an exhaustive recount for a handful of pairs.

@@ -14,9 +14,8 @@ using testutil::PaperParams;
 TEST(BuildFaginInput, ListsAreSortedDescending) {
   ExampleFixture fx;
   Counters counters;
-  OverlapCounts overlaps = ComputeOverlaps(fx.world.data);
   auto input =
-      BuildFaginInput(fx.Input(), PaperParams(), overlaps, &counters);
+      BuildFaginInput(fx.Input(), PaperParams(), &counters);
   ASSERT_TRUE(input.ok());
   for (const NraList& list : input->fwd_lists) {
     for (size_t i = 1; i < list.entries.size(); ++i) {
@@ -31,9 +30,8 @@ TEST(BuildFaginInput, ListsAreSortedDescending) {
 TEST(BuildFaginInput, DifferenceListCoversTrackedPairs) {
   ExampleFixture fx;
   Counters counters;
-  OverlapCounts overlaps = ComputeOverlaps(fx.world.data);
   auto input =
-      BuildFaginInput(fx.Input(), PaperParams(), overlaps, &counters);
+      BuildFaginInput(fx.Input(), PaperParams(), &counters);
   ASSERT_TRUE(input.ok());
   const NraList& diff = input->fwd_lists.back();
   // Every entry is non-positive: ln(1-s) * (l - n) <= 0.
@@ -45,9 +43,8 @@ TEST(BuildFaginInput, DifferenceListCoversTrackedPairs) {
 TEST(FaginTopK, TopPairIsAStrongCopier) {
   ExampleFixture fx;
   Counters counters;
-  OverlapCounts overlaps = ComputeOverlaps(fx.world.data);
   auto input =
-      BuildFaginInput(fx.Input(), PaperParams(), overlaps, &counters);
+      BuildFaginInput(fx.Input(), PaperParams(), &counters);
   ASSERT_TRUE(input.ok());
   NraResult top = FaginTopK(*input, 3, /*forward=*/true);
   ASSERT_GE(top.top.size(), 1u);

@@ -15,17 +15,13 @@ namespace {
 
 using testutil::PaperParams;
 
-/// Runs `detector` through the probability trajectory, returning the
-/// result of the last round.
-CopyResult RunTrajectory(CopyDetector* detector, const Dataset& data,
-                         const std::vector<std::vector<double>>& probs,
-                         const std::vector<double>& accs) {
+/// Runs `detector` through the probability trajectory on `in`'s data,
+/// overlaps and accuracies, returning the result of the last round.
+CopyResult RunTrajectory(CopyDetector* detector, DetectionInput in,
+                         const std::vector<std::vector<double>>& probs) {
   CopyResult result;
   for (size_t round = 0; round < probs.size(); ++round) {
-    DetectionInput in;
-    in.data = &data;
     in.value_probs = &probs[round];
-    in.accuracies = &accs;
     CD_CHECK_OK(detector->DetectRound(
         in, static_cast<int>(round) + 1, &result));
   }
@@ -56,14 +52,12 @@ TEST(IncrementalDeep, SmallDriftKeepsHybridAgreement) {
   auto trajectory = DriftTrajectory(wi.probs, 6, 0.01, 11);
 
   IncrementalDetector incremental(PaperParams());
-  CopyResult inc_last = RunTrajectory(&incremental, world.data,
-                                      trajectory, wi.accs);
+  CopyResult inc_last =
+      RunTrajectory(&incremental, wi.Input(world), trajectory);
   // Fresh hybrid on the final state.
   HybridDetector hybrid(PaperParams());
-  DetectionInput final_in;
-  final_in.data = &world.data;
+  DetectionInput final_in = wi.Input(world);
   final_in.value_probs = &trajectory.back();
-  final_in.accuracies = &wi.accs;
   CopyResult hybrid_last;
   CD_CHECK_OK(hybrid.DetectRound(final_in, 1, &hybrid_last));
 
@@ -90,13 +84,11 @@ TEST(IncrementalDeep, BigProbabilityJumpForcesCorrectFlips) {
   ASSERT_GT(flipped, 0u);
 
   IncrementalDetector incremental(PaperParams());
-  CopyResult inc_last = RunTrajectory(&incremental, world.data,
-                                      trajectory, wi.accs);
+  CopyResult inc_last =
+      RunTrajectory(&incremental, wi.Input(world), trajectory);
   HybridDetector hybrid(PaperParams());
-  DetectionInput final_in;
-  final_in.data = &world.data;
+  DetectionInput final_in = wi.Input(world);
   final_in.value_probs = &last;
-  final_in.accuracies = &wi.accs;
   CopyResult hybrid_last;
   CD_CHECK_OK(hybrid.DetectRound(final_in, 1, &hybrid_last));
 
@@ -112,19 +104,13 @@ TEST(IncrementalDeep, BigAccuracyJumpMigratesPairsToExact) {
   IncrementalDetector detector(PaperParams());
   CopyResult result;
   std::vector<double> accs = wi.accs;
+  DetectionInput in = wi.Input(world);
+  in.accuracies = &accs;
   for (int round = 1; round <= 3; ++round) {
-    DetectionInput in;
-    in.data = &world.data;
-    in.value_probs = &wi.probs;
-    in.accuracies = &accs;
     CD_CHECK_OK(detector.DetectRound(in, round, &result));
   }
   // Round 4: one source's accuracy collapses far beyond rho_accuracy.
   accs[0] = std::max(0.05, accs[0] - 0.5);
-  DetectionInput in;
-  in.data = &world.data;
-  in.value_probs = &wi.probs;
-  in.accuracies = &accs;
   CD_CHECK_OK(detector.DetectRound(in, 4, &result));
   const auto& stats = detector.round_stats().back();
   EXPECT_GT(stats.exact + stats.pass3, 0u);
@@ -149,7 +135,7 @@ TEST(IncrementalDeep, ConstantInputIsNearlyAllPassOne) {
   testutil::WorldInput wi(world);
   std::vector<std::vector<double>> trajectory(5, wi.probs);
   IncrementalDetector detector(PaperParams());
-  RunTrajectory(&detector, world.data, trajectory, wi.accs);
+  RunTrajectory(&detector, wi.Input(world), trajectory);
   const auto& stats = detector.round_stats();
   ASSERT_EQ(stats.size(), 5u);
   for (size_t i = 2; i < stats.size(); ++i) {
@@ -169,8 +155,8 @@ TEST(IncrementalDeep, RepeatedTrajectoriesAreDeterministic) {
   auto trajectory = DriftTrajectory(wi.probs, 5, 0.02, 3);
   IncrementalDetector d1(PaperParams());
   IncrementalDetector d2(PaperParams());
-  CopyResult r1 = RunTrajectory(&d1, world.data, trajectory, wi.accs);
-  CopyResult r2 = RunTrajectory(&d2, world.data, trajectory, wi.accs);
+  CopyResult r1 = RunTrajectory(&d1, wi.Input(world), trajectory);
+  CopyResult r2 = RunTrajectory(&d2, wi.Input(world), trajectory);
   EXPECT_EQ(testutil::CopySet(r1), testutil::CopySet(r2));
   EXPECT_EQ(d1.counters().Total(), d2.counters().Total());
 }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "simjoin/overlap.h"
 #include "test_util.h"
 
 namespace copydetect {
@@ -150,16 +149,6 @@ TEST(InvertedIndex, ByProviderOrderingIsMonotone) {
     EXPECT_LE(index.providers(rank - 1).size(),
               index.providers(rank).size());
   }
-}
-
-TEST(OverlapCache, ReusesCountsForSameDataset) {
-  ExampleFixture fx;
-  OverlapCache cache;
-  const OverlapCounts& first = cache.Get(fx.world.data);
-  EXPECT_EQ(first.Get(2, 3), 5u);
-  EXPECT_EQ(first.Get(0, 6), 3u);
-  // Same data set: same object, no recomputation.
-  EXPECT_EQ(&cache.Get(fx.world.data), &first);
 }
 
 }  // namespace

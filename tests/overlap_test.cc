@@ -1,6 +1,5 @@
 #include "simjoin/overlap.h"
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -75,51 +74,8 @@ TEST(Dataset, GenerationIsUniquePerBuildAndSharedByCopies) {
   EXPECT_EQ(copy.generation(), w1.data.generation());
 }
 
-TEST(OverlapCache, RecycledAddressDoesNotServeStaleCounts) {
-  // Regression: the cache used to key on the Dataset's address. A
-  // *different* data set allocated where a freed one lived silently
-  // inherited the old counts (and downstream, stale l could drop below
-  // the observed shared-value count — the finalization underflow).
-  // Keying on Dataset::generation() makes the counts follow the data
-  // whether or not the allocator recycles the address.
-  OverlapCache cache;
-  auto first =
-      std::make_unique<testutil::World>(testutil::SmallWorld(61, 20, 120));
-  const void* first_addr = &first->data;
-  (void)cache.Get(first->data);
-  first.reset();
-  auto second =
-      std::make_unique<testutil::World>(testutil::SmallWorld(62, 20, 120));
-  // Whether the address was recycled or not, the cache must serve the
-  // second data set's own counts.
-  OverlapCounts fresh = ComputeOverlaps(second->data);
-  const OverlapCounts& cached = cache.Get(second->data);
-  size_t checked = 0;
-  for (SourceId a = 0; a < second->data.num_sources(); ++a) {
-    for (SourceId b = static_cast<SourceId>(a + 1);
-         b < second->data.num_sources(); ++b) {
-      EXPECT_EQ(cached.Get(a, b), fresh.Get(a, b))
-          << "pair " << a << "," << b
-          << (first_addr == &second->data ? " (address recycled)" : "");
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 0u);
-  EXPECT_EQ(cached.NumPositivePairs(), fresh.NumPositivePairs());
-}
-
-TEST(OverlapCache, ClearForcesRecompute) {
-  testutil::World world = testutil::SmallWorld(65, 15, 80);
-  OverlapCache cache;
-  const OverlapCounts& a = cache.Get(world.data);
-  size_t pairs = a.NumPositivePairs();
-  cache.Clear();
-  const OverlapCounts& b = cache.Get(world.data);
-  EXPECT_EQ(b.NumPositivePairs(), pairs);
-}
-
 // ---------------------------------------------------------------------
-// Delta maintenance (UpdateOverlaps) and cross-snapshot publication.
+// Delta maintenance (UpdateOverlaps).
 
 /// A delta over SmallWorld that retracts, overwrites and adds cells.
 AppliedDelta ApplyTestDelta(const Dataset& base) {
@@ -224,24 +180,6 @@ TEST(UpdateOverlaps, ChainedDeltasStayExact) {
     ExpectSameCounts(counts, ComputeOverlaps(current),
                      current.num_sources());
   }
-}
-
-TEST(SharedOverlaps, CachePicksUpPublishedCounts) {
-  testutil::World world = testutil::SmallWorld(74, 15, 80);
-  auto counts = std::make_shared<const OverlapCounts>(
-      ComputeOverlaps(world.data));
-  SharedOverlaps::Publish(world.data.generation(), counts);
-  OverlapCache cache;
-  // Borrowed, not recomputed: the cache must hand back the very
-  // object that was published.
-  EXPECT_EQ(&cache.Get(world.data), counts.get());
-  SharedOverlaps::Withdraw(world.data.generation());
-  // Borrow survives withdrawal; a fresh cache recomputes.
-  EXPECT_EQ(&cache.Get(world.data), counts.get());
-  OverlapCache fresh;
-  EXPECT_NE(&fresh.Get(world.data), counts.get());
-  ExpectSameCounts(fresh.Get(world.data), *counts,
-                   world.data.num_sources());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// DetectorRegistry: the built-in detector table, alias resolution and
-// the unknown-name error.
+// DetectorRegistry: the built-in detector table, alias resolution, the
+// unknown-name error and each detector's overlap-count contract.
 #include "core/detector_registry.h"
 
 #include <gtest/gtest.h>
@@ -84,6 +84,37 @@ TEST(DetectorRegistry, AliasesResolveToCanonical) {
     EXPECT_EQ(via_alias.fusion.truth, direct.fusion.truth);
     EXPECT_EQ(via_alias.counters.Total(), direct.counters.Total());
     EXPECT_EQ(via_alias.ToJson(world.data), direct.ToJson(world.data));
+  }
+}
+
+// Every detector that reads_overlaps() refuses an input without them,
+// or with the counts of a data set of another size; pairwise, the one
+// detector that does not read them, runs without.
+TEST(DetectorRegistry, OverlapReadersRefuseMissingCounts) {
+  testutil::ExampleFixture fx;
+  DetectionInput without = fx.Input();
+  without.overlaps = nullptr;
+  const OverlapCounts other =
+      ComputeOverlaps(testutil::SmallWorld(5).data);
+  DetectionInput mismatched = fx.Input();
+  mismatched.overlaps = &other;
+  for (const std::string& name : ListDetectors()) {
+    SCOPED_TRACE(name);
+    auto detector =
+        DetectorRegistry::Global().Create(name, testutil::PaperParams());
+    ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+    EXPECT_EQ((*detector)->reads_overlaps(), name != "pairwise");
+    CopyResult result;
+    Status status = (*detector)->DetectRound(without, 1, &result);
+    if ((*detector)->reads_overlaps()) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_EQ((*detector)->DetectRound(mismatched, 1, &result).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_TRUE((*detector)->DetectRound(fx.Input(), 1, &result).ok());
+    } else {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/hybrid.h"
 #include "core/index_algo.h"
+#include "eval/experiment.h"
 #include "test_util.h"
 
 namespace copydetect {
@@ -152,6 +153,41 @@ TEST(SampledDetector, ReusesSampleAcrossRounds) {
   const SampledData* sample1 = detector.sample();
   ASSERT_TRUE(detector.DetectRound(in, 2, &r2).ok());
   EXPECT_EQ(detector.sample(), sample1);  // same object, not redrawn
+}
+
+TEST(SampledDetector, DatasetAssignedInPlaceIsResampled) {
+  // Regression: the sample was keyed on the Dataset's address, so a
+  // different data set assigned into the same object was served the
+  // old sample (its slot map reads past the new value probabilities).
+  // Keyed on Dataset::generation(), the reused detector must match a
+  // fresh one.
+  auto first = MakeWorldByName("book-cs", 0.2, 1);
+  auto second = MakeWorldByName("book-cs", 0.1, 2);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  World world = *first;
+  SampledDetector reused(PaperParams(),
+                         std::make_unique<IndexDetector>(PaperParams()),
+                         SampleSpec());
+  {
+    testutil::WorldInput wi(world);
+    CopyResult result;
+    ASSERT_TRUE(reused.DetectRound(wi.Input(world), 1, &result).ok());
+  }
+  world = *second;  // same object, new contents
+  testutil::WorldInput wi(world);
+  SampledDetector fresh(PaperParams(),
+                        std::make_unique<IndexDetector>(PaperParams()),
+                        SampleSpec());
+  CopyResult got;
+  CopyResult want;
+  Status status = reused.DetectRound(wi.Input(world), 2, &got);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(fresh.DetectRound(wi.Input(world), 2, &want).ok());
+  EXPECT_EQ(reused.sample()->data.num_slots(),
+            fresh.sample()->data.num_slots());
+  EXPECT_EQ(testutil::CopySet(got), testutil::CopySet(want));
+  EXPECT_EQ(got.NumTracked(), want.NumTracked());
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // the accuracy-only baseline), at 1 and 4 threads,
 // Session::Update(delta) must produce a report bit-identical to
 // rebuilding the merged data set from scratch and Run()ning it on a
-// fresh session — patching the maintained overlaps may only skip
-// provably unchanged work.
+// fresh session.
 #include "copydetect/session.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +10,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "simjoin/overlap.h"
 
 namespace copydetect {
 namespace {
@@ -77,7 +74,7 @@ void ExpectUpdateEquivalence(const Dataset& base,
   auto first = session->Run(base);
   CD_CHECK_OK(first.status());
   // The initial online run must already match a cold run bit for bit
-  // (overlap publication must not perturb anything).
+  // (the session-held overlap counts must not perturb anything).
   ExpectSameFusion(first->fusion, RunColdSession(base, options).fusion);
 
   int step = 0;
@@ -198,9 +195,8 @@ TEST(SessionUpdate, PairwiseSplicesUnchangedPairs) {
   delta.Set(base.source_name(0), base.item_name(items[0]), "tiny");
   CD_CHECK_OK(session->Update(delta));
   const UpdateStats& stats = session->last_update_stats();
-  EXPECT_TRUE(stats.incremental);
-  // Pairwise sessions do not maintain overlap counts (the detector
-  // never reads them).
+  // Deprecated flags: Update has no incremental path any more.
+  EXPECT_FALSE(stats.incremental);
   EXPECT_FALSE(stats.overlaps_maintained);
   EXPECT_EQ(stats.touched_sources, 1u);
   EXPECT_EQ(stats.touched_items, 1u);
@@ -208,51 +204,48 @@ TEST(SessionUpdate, PairwiseSplicesUnchangedPairs) {
 }
 
 TEST(SessionUpdate, IndexSessionMaintainsOverlaps) {
+  // The session recounts the overlaps of every new snapshot: once for a
+  // delta within the source universe, once for one that grows it.
   auto world = MakeWorldByName("book-cs", 0.1, 17);
   CD_CHECK_OK(world.status());
   const Dataset& base = world->data;
   SessionOptions options = ExampleOptions("index", 1);
   options.n = world->suggested_n;
-  options.online_updates = true;
-  // Registry hygiene: sessions publish their maintained counts into
-  // the process-wide SharedOverlaps registry and must withdraw them on
-  // destruction — a long-lived serving process cannot accumulate dead
-  // generations.
-  const size_t published_before = SharedOverlaps::NumPublished();
-  {
-    auto session = Session::Create(options);
-    CD_CHECK_OK(session.status());
-    CD_CHECK_OK(session->Run(base).status());
-    EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
-    {
-      // A second session over the same dataset generation refcounts
-      // the published entry instead of duplicating it, and its
-      // destruction must not yank the entry from under the first.
-      auto twin = Session::Create(options);
-      CD_CHECK_OK(twin.status());
-      CD_CHECK_OK(twin->Run(base).status());
-      EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
-    }
-    EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
+  std::span<const ItemId> items = base.items_of(1);
+  DatasetDelta same_sources;
+  same_sources.Set(base.source_name(1), base.item_name(items[0]),
+                   "patched");
+  DatasetDelta grow;
+  grow.Set("brand-new", base.item_name(items[0]), "x");
+  ExpectUpdateEquivalence(base, {same_sources, grow}, options);
+}
 
-    DatasetDelta delta;  // same source universe: the patchable case
-    std::span<const ItemId> items = base.items_of(1);
-    delta.Set(base.source_name(1), base.item_name(items[0]), "patched");
-    CD_CHECK_OK(session->Update(delta));
-    EXPECT_TRUE(session->last_update_stats().incremental);
-    EXPECT_TRUE(session->last_update_stats().overlaps_maintained);
-    // The update republished under the new dataset generation — the
-    // old generation's entry is gone, not leaked.
-    EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
-
-    // Growing the source universe forces a recount — still correct,
-    // just not patched.
-    DatasetDelta grow;
-    grow.Set("brand-new", base.item_name(items[0]), "x");
-    CD_CHECK_OK(session->Update(grow));
-    EXPECT_FALSE(session->last_update_stats().overlaps_maintained);
+TEST(SessionUpdate, DatasetAssignedInPlaceGetsItsOwnOverlaps) {
+  // One online session runs world A, then world B assigned into the
+  // same Dataset object: the overlap counts the session holds follow
+  // the data's generation, so B's report equals a fresh session's.
+  auto world_a = MakeWorldByName("book-cs", 0.1, 1);
+  auto world_b = MakeWorldByName("book-cs", 0.1, 2);
+  CD_CHECK_OK(world_a.status());
+  CD_CHECK_OK(world_b.status());
+  ASSERT_EQ(world_a->data.num_sources(), world_b->data.num_sources());
+  for (const std::string& name : ListDetectors()) {
+    SCOPED_TRACE(name);
+    SessionOptions options = ExampleOptions(name, 1);
+    options.n = world_b->suggested_n;
+    options.online_updates = true;
+    auto reused = Session::Create(options);
+    CD_CHECK_OK(reused.status());
+    Dataset data = world_a->data;
+    CD_CHECK_OK(reused->Run(data).status());
+    data = world_b->data;
+    CD_CHECK_OK(reused->Run(data).status());
+    auto fresh = Session::Create(options);
+    CD_CHECK_OK(fresh.status());
+    CD_CHECK_OK(fresh->Run(data).status());
+    EXPECT_EQ(reused->report().ToJson(*reused->current_data()),
+              fresh->report().ToJson(*fresh->current_data()));
   }
-  EXPECT_EQ(SharedOverlaps::NumPublished(), published_before);
 }
 
 TEST(SessionUpdate, LargeDeltaFallsBackAndStaysEquivalent) {

@@ -14,6 +14,7 @@
 #include "datagen/generator.h"
 #include "datagen/motivating_example.h"
 #include "datagen/profiles.h"
+#include "simjoin/overlap.h"
 
 namespace copydetect {
 namespace testutil {
@@ -29,22 +30,25 @@ inline DetectionParams PaperParams() {
   return params;
 }
 
-/// A fixture bundling the running example with the converged value
-/// probabilities (Table III) and accuracies (Table I), wired into a
-/// DetectionInput.
+/// A fixture bundling the running example with its overlap counts, the
+/// converged value probabilities (Table III) and accuracies (Table I),
+/// wired into a DetectionInput.
 struct ExampleFixture {
   World world;
+  OverlapCounts overlaps;
   std::vector<double> probs;
   std::vector<double> accs;
 
   ExampleFixture()
       : world(MotivatingExample()),
+        overlaps(ComputeOverlaps(world.data)),
         probs(MotivatingValueProbabilities(world.data)),
         accs(MotivatingAccuracies()) {}
 
   DetectionInput Input() const {
     DetectionInput in;
     in.data = &world.data;
+    in.overlaps = &overlaps;
     in.value_probs = &probs;
     in.accuracies = &accs;
     return in;
@@ -82,10 +86,12 @@ inline World SmallWorld(uint64_t seed, size_t sources = 40,
   return std::move(world).value();
 }
 
-/// Builds a DetectionInput over a world using naive vote-share value
-/// probabilities and the planted true accuracies — a realistic
-/// mid-iteration state for single-round algorithm tests.
+/// Builds a DetectionInput over a world using its overlap counts, naive
+/// vote-share value probabilities and the planted true accuracies — a
+/// realistic mid-iteration state for single-round algorithm tests.
+/// Input() must be given the world this was built from.
 struct WorldInput {
+  OverlapCounts overlaps;
   std::vector<double> probs;
   std::vector<double> accs;
 
@@ -94,13 +100,15 @@ struct WorldInput {
   DetectionInput Input(const World& world) const {
     DetectionInput in;
     in.data = &world.data;
+    in.overlaps = &overlaps;
     in.value_probs = &probs;
     in.accuracies = &accs;
     return in;
   }
 };
 
-inline WorldInput::WorldInput(const World& world) {
+inline WorldInput::WorldInput(const World& world)
+    : overlaps(ComputeOverlaps(world.data)) {
   const Dataset& data = world.data;
   probs.assign(data.num_slots(), 0.0);
   for (ItemId d = 0; d < data.num_items(); ++d) {
