@@ -273,18 +273,33 @@ constexpr size_t kDetectorItems = 1500;
 /// the bench-default scale of that data set (see bench_util.h).
 constexpr double kBookFullScale = 0.05;
 
+/// Scale of the stock-1day profile behind the stock-1day round
+/// anchors — the world shape of the batch-stock workload, where every
+/// source pair shares items and the scans keep dense pair state.
+constexpr double kStockScale = 0.2;
+
 const WorldInputs& DetectorWorld() {
   static const WorldInputs* inputs =
       new WorldInputs(kDetectorSources, kDetectorItems);
   return *inputs;
 }
 
+const WorldInputs* NewProfileInputs(const std::string& profile,
+                                    double scale) {
+  auto world = MakeWorldByName(profile, scale, 42);
+  CD_CHECK_OK(world.status());
+  return new WorldInputs(std::move(world).value());
+}
+
 const WorldInputs& BookFullWorld() {
-  static const WorldInputs* inputs = new WorldInputs([] {
-    auto world = MakeWorldByName("book-full", kBookFullScale, 42);
-    CD_CHECK_OK(world.status());
-    return std::move(world).value();
-  }());
+  static const WorldInputs* inputs =
+      NewProfileInputs("book-full", kBookFullScale);
+  return *inputs;
+}
+
+const WorldInputs& Stock1DayWorld() {
+  static const WorldInputs* inputs =
+      NewProfileInputs("stock-1day", kStockScale);
   return *inputs;
 }
 
@@ -326,8 +341,38 @@ void BM_DetectorRound(benchmark::State& state,
   DetectorRoundLoop(state, DetectorWorld(), detector_name);
 }
 
-void BM_IndexRoundBookFull(benchmark::State& state) {
-  DetectorRoundLoop(state, BookFullWorld(), "index");
+/// A detector round over a named data-set profile, benchmarked as
+/// `name` + "/" + threads. BM_IndexRound/book-full is the
+/// multi-threaded-vs-serial INDEX speedup anchor; the stock-1day
+/// rounds are the dense-pair-state anchors.
+struct WorldRound {
+  std::string_view name;
+  const char* detector;
+  const char* dataset;
+  double scale;
+  const WorldInputs& (*world)();
+};
+
+constexpr WorldRound kWorldRounds[] = {
+    {"BM_IndexRound/book-full", "index", "book-full", kBookFullScale,
+     BookFullWorld},
+    {"BM_IndexRound/stock-1day", "index", "stock-1day", kStockScale,
+     Stock1DayWorld},
+    {"BM_HybridRound/stock-1day", "hybrid", "stock-1day", kStockScale,
+     Stock1DayWorld},
+};
+
+/// The kWorldRounds row that benchmark run `run_name` measures, or
+/// nullptr.
+const WorldRound* FindWorldRound(std::string_view run_name) {
+  for (const WorldRound& round : kWorldRounds) {
+    if (StartsWith(run_name, round.name)) return &round;
+  }
+  return nullptr;
+}
+
+void BM_WorldRound(benchmark::State& state, const WorldRound& round) {
+  DetectorRoundLoop(state, round.world(), round.detector);
 }
 
 /// Session configuration of the facade-overhead pair: the standard
@@ -664,12 +709,10 @@ void BM_FusionRunBookFull(benchmark::State& state) {
 
 /// The detector-round benchmarks are named kDetectorPrefix +
 /// <registry name> + "/" + threads; CollectingReporter recovers
-/// detector and threads by parsing the name. kBookFullPrefix is the
-/// INDEX round over the book-full profile (the acceptance speedup
-/// anchor); kSessionRunName/kFusionRunName are the facade-overhead
-/// pair (full runs, serial).
+/// detector and threads by parsing the name, and the kWorldRounds
+/// anchors likewise; kSessionRunName/kFusionRunName are the
+/// facade-overhead pair (full runs, serial).
 constexpr std::string_view kDetectorPrefix = "BM_DetectorRound/";
-constexpr std::string_view kBookFullPrefix = "BM_IndexRound/book-full";
 constexpr std::string_view kSessionRunName = "BM_SessionRun/book-full";
 constexpr std::string_view kFusionRunName = "BM_FusionRun/book-full";
 constexpr std::string_view kSessionUpdateName =
@@ -694,11 +737,11 @@ void RegisterDetectorBenchmarks(size_t multi_threads) {
     bench->Unit(benchmark::kMillisecond)->Arg(1);
     if (multi_threads > 1) bench->Arg(static_cast<int>(multi_threads));
   }
-  auto* book_full = benchmark::RegisterBenchmark(
-      std::string(kBookFullPrefix).c_str(), BM_IndexRoundBookFull);
-  book_full->Unit(benchmark::kMillisecond)->Arg(1);
-  if (multi_threads > 1) {
-    book_full->Arg(static_cast<int>(multi_threads));
+  for (const WorldRound& round : kWorldRounds) {
+    auto* bench = benchmark::RegisterBenchmark(
+        std::string(round.name).c_str(), BM_WorldRound, round);
+    bench->Unit(benchmark::kMillisecond)->Arg(1);
+    if (multi_threads > 1) bench->Arg(static_cast<int>(multi_threads));
   }
   benchmark::RegisterBenchmark(std::string(kSessionRunName).c_str(),
                                BM_SessionRunBookFull)
@@ -801,11 +844,11 @@ class CollectingReporter : public benchmark::BenchmarkReporter {
         record.dataset = StrFormat("gen-%zux%zu", kDetectorSources,
                                    kDetectorItems);
         record.scale = 1.0;
-      } else if (StartsWith(base_name, kBookFullPrefix)) {
-        // "BM_IndexRound/book-full/<threads>".
-        record.detector = "index";
-        record.dataset = "book-full";
-        record.scale = kBookFullScale;
+      } else if (const WorldRound* round = FindWorldRound(base_name)) {
+        // "<round name>/<threads>".
+        record.detector = round->detector;
+        record.dataset = round->dataset;
+        record.scale = round->scale;
         size_t slash = base_name.rfind('/');
         record.threads = std::strtoull(base_name.c_str() + slash + 1,
                                        nullptr, 10);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "model/types.h"
 
@@ -45,48 +46,58 @@ struct Posteriors {
 Posteriors DirectionPosteriors(double c_fwd, double c_bwd,
                                const DetectionParams& params);
 
-/// Batched per-pair form of SharedContribution for the PAIRWISE merge
-/// loop, which evaluates Eq. 6 for one (S1, S2) pair across every
-/// shared value: the accuracy clamps and complements are hoisted once
-/// per pair, while each evaluation keeps Eq. 6's exact operation
-/// order — so for every p,
+/// Eq. 6 with its clamps and complements hoisted out of the hot loops.
+/// The scans evaluate SharedContribution for every (value, provider
+/// pair) visit; clamping the accuracies once per round per source and
+/// the probability once per value, and storing each complement 1 − x
+/// next to it, leaves only the arithmetic and the log per visit. The
+/// evaluation keeps Eq. 6's exact operation order, so for every p, a1,
+/// a2
 ///
-///   Forward(p)  == SharedContribution(p, a1, a2, params)
-///   Backward(p) == SharedContribution(p, a2, a1, params)
+///   kernel(Probability(p), Accuracy(a1), Accuracy(a2))
+///       == SharedContribution(p, a1, a2, params)
 ///
-/// bit for bit. The two directions are separate computations on
-/// purpose: p·a1·a2 associates as (p·a1)·a2, so the transposed
-/// product (p·a2)·a1 can round differently and must be evaluated
-/// exactly as the unbatched call would.
-class PairContributionScorer {
+/// bit for bit. The two directions of a pair are separate calls on
+/// purpose: p·a1·a2 associates as (p·a1)·a2, so the transposed product
+/// (p·a2)·a1 can round differently and must be evaluated exactly as
+/// the unbatched call would.
+class Eq6Kernel {
  public:
-  PairContributionScorer(double a1, double a2,
-                         const DetectionParams& params)
-      : a1_(ClampAccuracy(a1)),
-        a2_(ClampAccuracy(a2)),
-        na1_(1.0 - a1_),
-        na2_(1.0 - a2_),
-        s_(params.s),
-        n_(params.n) {}
+  /// A clamped probability or accuracy x with its complement 1 − x.
+  struct Operand {
+    double x = 0.0;
+    double complement = 1.0;
+  };
 
-  /// C→: S1 (accuracy a1) copies this value from S2 (accuracy a2).
-  double Forward(double p) const {
+  static Operand Probability(double p) {
     p = ClampProbability(p);
-    double indep = p * a1_ * a2_ + (1.0 - p) * na1_ * na2_ / n_;
-    double copied = p * a2_ + (1.0 - p) * na2_;
-    return std::log(1.0 - s_ + s_ * copied / indep);
+    return {p, 1.0 - p};
+  }
+  static Operand Accuracy(double a) {
+    a = ClampAccuracy(a);
+    return {a, 1.0 - a};
+  }
+  /// Accuracy operands of every source, indexed by SourceId.
+  static std::vector<Operand> Accuracies(std::span<const double> accs) {
+    std::vector<Operand> out(accs.size());
+    for (size_t s = 0; s < accs.size(); ++s) out[s] = Accuracy(accs[s]);
+    return out;
   }
 
-  /// C←: S2 copies from S1 — the a2/a1 transpose of Forward.
-  double Backward(double p) const {
-    p = ClampProbability(p);
-    double indep = p * a2_ * a1_ + (1.0 - p) * na2_ * na1_ / n_;
-    double copied = p * a1_ + (1.0 - p) * na1_;
+  explicit Eq6Kernel(const DetectionParams& params)
+      : s_(params.s), n_(params.n) {}
+
+  /// C→ of a shared value: the source with accuracy a1 copies it from
+  /// the source with accuracy a2.
+  double operator()(Operand p, Operand a1, Operand a2) const {
+    double indep =
+        p.x * a1.x * a2.x + p.complement * a1.complement * a2.complement / n_;
+    double copied = p.x * a2.x + p.complement * a2.complement;
     return std::log(1.0 - s_ + s_ * copied / indep);
   }
 
  private:
-  double a1_, a2_, na1_, na2_, s_, n_;
+  double s_, n_;
 };
 
 /// Maximum shared-value contribution M̂(D.v) over ordered provider

@@ -6,6 +6,7 @@
 #include "common/arena.h"
 #include "common/executor.h"
 #include "core/bayes.h"
+#include "core/pair_table.h"
 #include "core/sharded_scan.h"
 #include "simjoin/overlap.h"
 
@@ -49,29 +50,30 @@ uint32_t CeilToU32(double v) {
 /// pairs are skipped entirely and the stream-level charge goes to the
 /// plan's primary shard, so merged shard counters match the unsharded
 /// run.
-void ScanShard(const InvertedIndex& index, const DetectionInput& in,
+void ScanShard(const InvertedIndex& index, const Dataset& data,
+               std::span<const Eq6Kernel::Operand> accs,
                const DetectionParams& params, const ScanConfig& config,
                const OverlapCounts& overlaps, size_t shard,
                size_t num_shards, Counters* counters, CopyResult* out,
                ScanBookkeeping* book, Arena* arena) {
-  const Dataset& data = *in.data;
-  const std::vector<double>& accs = *in.accuracies;
-
   const double penalty = params.different_penalty();
   const double theta_cp = params.theta_cp();
   const double theta_ind = params.theta_ind();
 
   // Round scratch — the pair-state table and the per-source counts —
   // comes from the shard's leased arena, which retains its chunks
-  // between rounds. ArenaHashMap replicates FlatHashMap's layout, so
-  // the finalize walk keeps its pre-arena visit order.
-  ArenaHashMap<ScanState> pairs(arena);
+  // between rounds.
+  PairTable<ScanState> pairs(
+      arena, overlaps.num_sources(),
+      UseDensePairTable(overlaps, num_shards));
+  const Eq6Kernel eq6(params);
   uint32_t* n_src = arena->AllocateArray<uint32_t>(data.num_sources());
   std::fill(n_src, n_src + data.num_sources(), 0u);
 
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
     if (shard == 0 && params.plan.primary()) ++counters->entries_scanned;
-    const IndexEntry& e = index.entry(rank);
+    const Eq6Kernel::Operand p =
+        Eq6Kernel::Probability(index.entry(rank).probability);
     std::span<const SourceId> providers = index.providers(rank);
     const bool tail = config.respect_tail && index.in_tail(rank);
     // Score of the next unscanned entry bounds every future
@@ -93,20 +95,18 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
 
         ScanState* st;
         if (tail) {
-          st = pairs.Find(key);
+          st = pairs.Find(lo, hi);
           if (st == nullptr) continue;
         } else {
-          ScanState* existing = pairs.Find(key);
-          if (existing == nullptr) {
-            st = &pairs[key];
+          bool fresh = false;
+          st = pairs.FindOrInsert(lo, hi, &fresh);
+          if (fresh) {
             st->l = overlaps.Get(lo, hi);
             st->mode = (config.hybrid_threshold > 0 &&
                         st->l <= config.hybrid_threshold)
                            ? kIndexMode
                            : kBoundMode;
             ++counters->pairs_tracked;
-          } else {
-            st = existing;
           }
         }
         if (st->status != kActive) {
@@ -117,10 +117,8 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
         }
 
         // Accumulate the exact contribution of this shared value.
-        st->c_fwd +=
-            SharedContribution(e.probability, accs[lo], accs[hi], params);
-        st->c_bwd +=
-            SharedContribution(e.probability, accs[hi], accs[lo], params);
+        st->c_fwd += eq6(p, accs[lo], accs[hi]);
+        st->c_bwd += eq6(p, accs[hi], accs[lo]);
         counters->score_evals += 2;
         ++counters->values_examined;
         ++st->n0;
@@ -258,11 +256,13 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
   // path (INCREMENTAL's preparation round) stays sequential: it is
   // paid once per fusion run and merging shard books buys nothing.
   Executor* executor = book == nullptr ? params.executor : nullptr;
+  const std::vector<Eq6Kernel::Operand> accs =
+      Eq6Kernel::Accuracies(*in.accuracies);
   RunShardedScan(executor, counters, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o, Arena* arena) {
-                   ScanShard(index, in, params, config, *in.overlaps, shard,
-                             num_shards, c, o,
+                   ScanShard(index, *in.data, accs, params, config,
+                             *in.overlaps, shard, num_shards, c, o,
                              num_shards == 1 ? book : nullptr, arena);
                  });
 

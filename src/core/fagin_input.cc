@@ -21,7 +21,9 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
                                        EntryOrdering::kByContribution);
   if (!index_or.ok()) return index_or.status();
   const InvertedIndex& index = *index_or;
-  const std::vector<double>& accs = *in.accuracies;
+  const std::vector<Eq6Kernel::Operand> accs =
+      Eq6Kernel::Accuracies(*in.accuracies);
+  const Eq6Kernel eq6(params);
 
   FaginInput input;
   input.fwd_lists.resize(index.num_entries() + 1);
@@ -31,7 +33,8 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
   FlatHashMap<uint32_t> n_shared;
 
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
-    const IndexEntry& e = index.entry(rank);
+    const Eq6Kernel::Operand p =
+        Eq6Kernel::Probability(index.entry(rank).probability);
     std::span<const SourceId> providers = index.providers(rank);
     NraList& fwd = input.fwd_lists[rank];
     NraList& bwd = input.bwd_lists[rank];
@@ -41,10 +44,8 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
         SourceId hi = std::max(providers[i], providers[j]);
         uint64_t key = PairKey(lo, hi);
         if (!params.plan.Owns(key)) continue;
-        double cf =
-            SharedContribution(e.probability, accs[lo], accs[hi], params);
-        double cb =
-            SharedContribution(e.probability, accs[hi], accs[lo], params);
+        double cf = eq6(p, accs[lo], accs[hi]);
+        double cb = eq6(p, accs[hi], accs[lo]);
         counters->score_evals += 2;
         ++counters->values_examined;
         fwd.entries.emplace_back(key, cf);

@@ -200,10 +200,15 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
   // ---- Pass 1a: exact replacement on big-change entries only (they
   // are the only entries that can move a pair's score by more than the
   // ∆ρ bulk bound). ----
+  const Eq6Kernel eq6(params_);
+  const std::vector<Eq6Kernel::Operand> a_ops =
+      Eq6Kernel::Accuracies(a_snap_);
   for (uint32_t rank : big_ranks) {
     // Stream-level work: every shard of an active plan walks the same
     // big-change entries, so the charge goes to the primary only.
     if (params_.plan.primary()) ++counters_.entries_scanned;
+    const Eq6Kernel::Operand p_old = Eq6Kernel::Probability(p_snap_[rank]);
+    const Eq6Kernel::Operand p_cur = Eq6Kernel::Probability(p_new[rank]);
     std::span<const SourceId> providers = index_->providers(rank);
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
       for (size_t j = i + 1; j < providers.size(); ++j) {
@@ -212,14 +217,10 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
         IncState* st = states_.Find(PairKey(lo, hi));
         if (st == nullptr || st->phase == 4) continue;
         if (rank > st->decision_rank) continue;  // E̅1: bounded below
-        double of = SharedContribution(p_snap_[rank], a_snap_[lo],
-                                       a_snap_[hi], params_);
-        double ob = SharedContribution(p_snap_[rank], a_snap_[hi],
-                                       a_snap_[lo], params_);
-        double nf = SharedContribution(p_new[rank], a_snap_[lo],
-                                       a_snap_[hi], params_);
-        double nb = SharedContribution(p_new[rank], a_snap_[hi],
-                                       a_snap_[lo], params_);
+        double of = eq6(p_old, a_ops[lo], a_ops[hi]);
+        double ob = eq6(p_old, a_ops[hi], a_ops[lo]);
+        double nf = eq6(p_cur, a_ops[lo], a_ops[hi]);
+        double nb = eq6(p_cur, a_ops[hi], a_ops[lo]);
         st->big_fwd += nf - of;
         st->big_bwd += nb - ob;
         counters_.score_evals += 4;

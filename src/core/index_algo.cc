@@ -1,8 +1,11 @@
 #include "core/index_algo.h"
 
+#include <algorithm>
+
 #include "common/arena.h"
 #include "common/executor.h"
 #include "core/bayes.h"
+#include "core/pair_table.h"
 #include "core/sharded_scan.h"
 #include "simjoin/overlap.h"
 
@@ -27,46 +30,44 @@ struct IndexPairState {
 /// partition: a pair is skipped unless this process owns it, and the
 /// stream-level charge goes to the plan's primary shard only, so
 /// summing the shards' counters reproduces the unsharded totals.
-void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
+void ScanShard(const InvertedIndex& index,
+               std::span<const Eq6Kernel::Operand> accs,
                const DetectionParams& params,
                const OverlapCounts& overlaps, size_t shard,
                size_t num_shards, Counters* counters, CopyResult* out,
                Arena* arena) {
-  // The pair table lives in the shard's leased arena; ArenaHashMap
-  // mirrors FlatHashMap's layout policy, so the finalize walk below
-  // visits pairs in the exact pre-arena order.
-  ArenaHashMap<IndexPairState> pairs(arena);
+  PairTable<IndexPairState> pairs(
+      arena, overlaps.num_sources(),
+      UseDensePairTable(overlaps, num_shards));
+  const Eq6Kernel eq6(params);
 
   // Steps 1-2: scan entries in order; head entries create state, tail
   // entries only update pairs already seen.
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
     if (shard == 0 && params.plan.primary()) ++counters->entries_scanned;
-    const IndexEntry& e = index.entry(rank);
+    const Eq6Kernel::Operand p =
+        Eq6Kernel::Probability(index.entry(rank).probability);
     std::span<const SourceId> providers = index.providers(rank);
     const bool tail = index.in_tail(rank);
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
       for (size_t j = i + 1; j < providers.size(); ++j) {
-        SourceId a = providers[i];
-        SourceId b = providers[j];
-        uint64_t key = PairKey(a, b);
+        // fwd is "smaller id copies from larger id".
+        SourceId lo = std::min(providers[i], providers[j]);
+        SourceId hi = std::max(providers[i], providers[j]);
+        uint64_t key = PairKey(lo, hi);
         if (!params.plan.Owns(key)) continue;
         if (num_shards > 1 && Mix64(key) % num_shards != shard) continue;
         IndexPairState* state;
         if (tail) {
-          state = pairs.Find(key);
+          state = pairs.Find(lo, hi);
           if (state == nullptr) continue;
         } else {
-          bool fresh = pairs.Find(key) == nullptr;
-          state = &pairs[key];
+          bool fresh = false;
+          state = pairs.FindOrInsert(lo, hi, &fresh);
           if (fresh) ++counters->pairs_tracked;
         }
-        // fwd is "smaller id copies from larger id".
-        SourceId lo = a < b ? a : b;
-        SourceId hi = a < b ? b : a;
-        state->c_fwd +=
-            SharedContribution(e.probability, accs[lo], accs[hi], params);
-        state->c_bwd +=
-            SharedContribution(e.probability, accs[hi], accs[lo], params);
+        state->c_fwd += eq6(p, accs[lo], accs[hi]);
+        state->c_bwd += eq6(p, accs[hi], accs[lo]);
         counters->score_evals += 2;
         ++counters->values_examined;
         ++state->n_shared;
@@ -102,7 +103,8 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
   if (!index_or.ok()) return index_or.status();
   const InvertedIndex& index = *index_or;
   last_index_seconds_ = index.build_seconds();
-  const std::vector<double>& accs = *in.accuracies;
+  const std::vector<Eq6Kernel::Operand> accs =
+      Eq6Kernel::Accuracies(*in.accuracies);
 
   RunShardedScan(params_.executor, &counters_, out,
                  [&](size_t shard, size_t num_shards, Counters* c,

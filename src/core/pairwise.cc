@@ -36,16 +36,18 @@ PairScores ComputePairScores(const DetectionInput& in, SourceId a,
 
   scores.shared_items = static_cast<uint32_t>(m);
   counters->score_evals += 2 * m;
-  const PairContributionScorer scorer(accs[a], accs[b], params);
+  const Eq6Kernel eq6(params);
+  const Eq6Kernel::Operand acc_a = Eq6Kernel::Accuracy(accs[a]);
+  const Eq6Kernel::Operand acc_b = Eq6Kernel::Accuracy(accs[b]);
   const double penalty = params.different_penalty();
   for (size_t k = 0; k < m; ++k) {
     uint32_t i = matches[k].i;
     uint32_t j = matches[k].j;
     if (slots_a[i] == slots_b[j]) {
       ++scores.shared_values;
-      double p = probs[slots_a[i]];
-      scores.c_fwd += scorer.Forward(p);
-      scores.c_bwd += scorer.Backward(p);
+      const Eq6Kernel::Operand p = Eq6Kernel::Probability(probs[slots_a[i]]);
+      scores.c_fwd += eq6(p, acc_a, acc_b);
+      scores.c_bwd += eq6(p, acc_b, acc_a);
     } else {
       scores.c_fwd += penalty;
       scores.c_bwd += penalty;
@@ -71,7 +73,9 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
 
   const Dataset& data = *in.data;
   const std::vector<double>& probs = *in.value_probs;
-  const std::vector<double>& accs = *in.accuracies;
+  const std::vector<Eq6Kernel::Operand> accs =
+      Eq6Kernel::Accuracies(*in.accuracies);
+  const Eq6Kernel eq6(params_);
   const size_t num_items = data.num_items();
   const size_t words = (num_items + 63) / 64;
 
@@ -110,7 +114,6 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
     const uint64_t* bb = bits_.data() + b * words;
     const SlotId* sa = slot_of_.data() + a * num_items;
     const SlotId* sb = slot_of_.data() + b * num_items;
-    const PairContributionScorer scorer(accs[a], accs[b], params_);
     for (size_t w = 0; w < words; ++w) {
       uint64_t both = ba[w] & bb[w];
       while (both != 0) {
@@ -122,9 +125,9 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
         SlotId vb = sb[d];
         if (va == vb) {
           ++scores.shared_values;
-          double p = probs[va];
-          scores.c_fwd += scorer.Forward(p);
-          scores.c_bwd += scorer.Backward(p);
+          const Eq6Kernel::Operand p = Eq6Kernel::Probability(probs[va]);
+          scores.c_fwd += eq6(p, accs[a], accs[b]);
+          scores.c_bwd += eq6(p, accs[b], accs[a]);
         } else {
           scores.c_fwd += penalty;
           scores.c_bwd += penalty;

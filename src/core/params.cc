@@ -1,7 +1,5 @@
 #include "core/params.h"
 
-#include <algorithm>
-
 #include "common/stringutil.h"
 
 namespace copydetect {
@@ -33,9 +31,5 @@ Status DetectionParams::Validate() const {
   CD_RETURN_IF_ERROR(plan.Validate());
   return Status::OK();
 }
-
-double ClampAccuracy(double a) { return std::clamp(a, 0.005, 0.995); }
-
-double ClampProbability(double p) { return std::clamp(p, 1e-6, 1.0 - 1e-6); }
 
 }  // namespace copydetect

@@ -1,6 +1,7 @@
 #ifndef COPYDETECT_CORE_PARAMS_H_
 #define COPYDETECT_CORE_PARAMS_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -68,10 +69,12 @@ struct DetectionParams {
 /// Clamps a source accuracy into the open interval the formulas need
 /// (A in {0,1} makes Eq. 3 degenerate). Mirrors the iterative loop's
 /// clamping so detection and fusion agree.
-double ClampAccuracy(double a);
+inline double ClampAccuracy(double a) { return std::clamp(a, 0.005, 0.995); }
 
 /// Clamps a value probability into (0, 1) for the same reason.
-double ClampProbability(double p);
+inline double ClampProbability(double p) {
+  return std::clamp(p, 1e-6, 1.0 - 1e-6);
+}
 
 }  // namespace copydetect
 

@@ -45,16 +45,6 @@ Status DatasetDelta::Validate() const {
   return Status::OK();
 }
 
-bool DeltaSummary::SourceTouched(SourceId s) const {
-  return std::binary_search(touched_sources.begin(),
-                            touched_sources.end(), s);
-}
-
-bool DeltaSummary::ItemTouched(ItemId d) const {
-  return std::binary_search(touched_items.begin(), touched_items.end(),
-                            d);
-}
-
 namespace {
 
 /// An op resolved to the new snapshot's id space.

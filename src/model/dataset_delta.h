@@ -86,9 +86,6 @@ struct DeltaSummary {
   size_t added = 0;          ///< Sets on empty cells
   size_t overwritten = 0;    ///< Sets on filled cells
   size_t retracted = 0;      ///< Retracts
-
-  bool SourceTouched(SourceId s) const;
-  bool ItemTouched(ItemId d) const;
 };
 
 /// The result of Dataset::Apply: the next snapshot plus the summary

@@ -17,7 +17,7 @@ uint32_t OverlapCounts::Get(SourceId a, SourceId b) const {
   return c ? *c : 0;
 }
 
-size_t OverlapCounts::NumPositivePairs() const {
+size_t OverlapCounts::CountPositivePairs() const {
   // Delta maintenance can drive sparse entries to zero (FlatHashMap
   // has no erase), so both modes must count, not just the dense one.
   size_t n = 0;
@@ -121,7 +121,10 @@ OverlapCounts ComputeOverlaps(const Dataset& data,
           for (size_t w = 0; w < words; ++w) {
             c += static_cast<uint32_t>(std::popcount(ra[w] & rb[w]));
           }
-          if (c > 0) dense[out.DenseIndex(a, b)] = c;
+          if (c > 0) {
+            dense[out.DenseIndex(a, b)] = c;
+            ++out.num_positive_;
+          }
         }
       }
       return out;
@@ -132,7 +135,10 @@ OverlapCounts ComputeOverlaps(const Dataset& data,
         if (items_a.empty()) continue;
         for (SourceId b = a + 1; b < n; ++b) {
           uint32_t c = IntersectSize(items_a, data.items_of(b));
-          if (c > 0) dense[out.DenseIndex(a, b)] = c;
+          if (c > 0) {
+            dense[out.DenseIndex(a, b)] = c;
+            ++out.num_positive_;
+          }
         }
       }
       return out;
@@ -162,6 +168,7 @@ OverlapCounts ComputeOverlaps(const Dataset& data,
       }
     }
   }
+  out.num_positive_ = out.CountPositivePairs();
   return out;
 }
 
@@ -269,22 +276,30 @@ bool UpdateOverlaps(OverlapCounts* counts, const Dataset& old_data,
     if (counts->dense_mode_) {
       auto sub = [&](SourceId a, SourceId b) {
         if (a > b) std::swap(a, b);
-        --(*dense)[counts->DenseIndex(a, b)];
+        if (--(*dense)[counts->DenseIndex(a, b)] == 0) {
+          --counts->num_positive_;
+        }
       };
       auto add = [&](SourceId a, SourceId b) {
         if (a > b) std::swap(a, b);
-        ++(*dense)[counts->DenseIndex(a, b)];
+        if (++(*dense)[counts->DenseIndex(a, b)] == 1) {
+          ++counts->num_positive_;
+        }
       };
       AdjustGroupPairs(scratch.departed, scratch.kept, sub);
       AdjustGroupPairs(scratch.arrived, scratch.kept, add);
     } else {
       AdjustGroupPairs(scratch.departed, scratch.kept,
                        [&](SourceId a, SourceId b) {
-                         --counts->sparse_[PairKey(a, b)];
+                         if (--counts->sparse_[PairKey(a, b)] == 0) {
+                           --counts->num_positive_;
+                         }
                        });
       AdjustGroupPairs(scratch.arrived, scratch.kept,
                        [&](SourceId a, SourceId b) {
-                         ++counts->sparse_[PairKey(a, b)];
+                         if (++counts->sparse_[PairKey(a, b)] == 1) {
+                           ++counts->num_positive_;
+                         }
                        });
     }
   }

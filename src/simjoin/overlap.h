@@ -27,8 +27,9 @@ class OverlapCounts {
   /// never asked for but returns 0 defensively.
   uint32_t Get(SourceId a, SourceId b) const;
 
-  /// Number of pairs with a positive count.
-  size_t NumPositivePairs() const;
+  /// Number of pairs with a positive count. Every writer of the
+  /// counts keeps it current, so reading it is O(1).
+  size_t NumPositivePairs() const { return num_positive_; }
 
   /// Size of the source universe the counts were taken over.
   SourceId num_sources() const { return num_sources_; }
@@ -61,6 +62,9 @@ class OverlapCounts {
   // layout included; see snapshot/snapshot_io.cc.
   friend struct snapshot_internal::OverlapSerde;
 
+  /// Counts the positive pairs by walking the counts.
+  size_t CountPositivePairs() const;
+
   size_t DenseIndex(SourceId a, SourceId b) const {
     // Upper triangle, a < b.
     size_t n = num_sources_;
@@ -77,6 +81,7 @@ class OverlapCounts {
   // MutableOwned when patching a view-backed triangle.
   ArrayStore<uint32_t> dense_;
   FlatHashMap<uint32_t> sparse_;
+  size_t num_positive_ = 0;
 };
 
 /// Counts shared items for every pair of sources in one pass over the

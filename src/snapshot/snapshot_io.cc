@@ -142,6 +142,7 @@ struct OverlapSerde {
     out->num_sources_ = num_sources;
     out->dense_ = std::move(dense);
     out->sparse_ = std::move(sparse);
+    out->num_positive_ = out->CountPositivePairs();
   }
 };
 

@@ -1,6 +1,9 @@
 #include "core/bayes.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +90,58 @@ TEST(SharedContribution, LowerProbabilityStrongerEvidence) {
     double c = SharedContribution(p, 0.6, 0.6, params);
     EXPECT_LT(c, prev);
     prev = c;
+  }
+}
+
+/// Asserts both directions of Eq6Kernel on (p, a1, a2) are
+/// SharedContribution's doubles bit for bit.
+void ExpectKernelBitIdentical(const Eq6Kernel& eq6, double p, double a1,
+                              double a2, const DetectionParams& params) {
+  const Eq6Kernel::Operand po = Eq6Kernel::Probability(p);
+  const Eq6Kernel::Operand a1o = Eq6Kernel::Accuracy(a1);
+  const Eq6Kernel::Operand a2o = Eq6Kernel::Accuracy(a2);
+  EXPECT_EQ(std::bit_cast<uint64_t>(eq6(po, a1o, a2o)),
+            std::bit_cast<uint64_t>(SharedContribution(p, a1, a2, params)))
+      << "fwd p=" << p << " a1=" << a1 << " a2=" << a2;
+  EXPECT_EQ(std::bit_cast<uint64_t>(eq6(po, a2o, a1o)),
+            std::bit_cast<uint64_t>(SharedContribution(p, a2, a1, params)))
+      << "bwd p=" << p << " a1=" << a1 << " a2=" << a2;
+}
+
+TEST(Eq6Kernel, BitIdenticalToSharedContributionAtClampEdges) {
+  DetectionParams params = PaperParams();
+  const Eq6Kernel eq6(params);
+  for (double p : {0.0, 1e-7, 1.0 - 1e-7, 1.0, 0.5}) {
+    for (double a1 : {0.0, 0.004, 0.996, 1.0, 0.5}) {
+      for (double a2 : {0.0, 0.004, 0.996, 1.0, 0.5}) {
+        ExpectKernelBitIdentical(eq6, p, a1, a2, params);
+      }
+    }
+  }
+}
+
+TEST(Eq6Kernel, BitIdenticalToSharedContributionOnRandomGrid) {
+  // Random operands and model parameters; Accuracies() must give the
+  // per-source operands Accuracy() gives one at a time.
+  Rng rng(0xe96);
+  for (int trial = 0; trial < 200; ++trial) {
+    DetectionParams params = PaperParams();
+    params.s = rng.UniformDouble(0.05, 0.95);
+    params.n = rng.UniformDouble(1.0, 200.0);
+    const Eq6Kernel eq6(params);
+    std::vector<double> accs(6);
+    for (double& a : accs) a = rng.NextDouble();
+    std::vector<Eq6Kernel::Operand> ops = Eq6Kernel::Accuracies(accs);
+    ASSERT_EQ(ops.size(), accs.size());
+    for (size_t s = 0; s < accs.size(); ++s) {
+      EXPECT_EQ(ops[s].x, Eq6Kernel::Accuracy(accs[s]).x);
+      EXPECT_EQ(ops[s].complement, Eq6Kernel::Accuracy(accs[s]).complement);
+    }
+    for (int k = 0; k < 20; ++k) {
+      ExpectKernelBitIdentical(eq6, rng.NextDouble(),
+                               accs[rng.NextBelow(accs.size())],
+                               accs[rng.NextBelow(accs.size())], params);
+    }
   }
 }
 

@@ -105,6 +105,10 @@ void ExpectSameCounts(const OverlapCounts& got, const OverlapCounts& want,
     }
   }
   EXPECT_EQ(got.NumPositivePairs(), want.NumPositivePairs());
+  // The patched count matches a walk of the patched counts.
+  size_t positive = 0;
+  got.ForEach([&positive](uint64_t, uint32_t) { ++positive; });
+  EXPECT_EQ(got.NumPositivePairs(), positive);
 }
 
 TEST(UpdateOverlaps, RefusesWhenSourceUniverseChanges) {
